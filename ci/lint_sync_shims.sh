@@ -1,7 +1,9 @@
 #!/bin/sh
 # Deny raw std::sync primitives in the crates migrated onto the `conc`
 # shims (crates/conc/README in DESIGN.md §16): a `std::sync::Mutex`,
-# `std::sync::RwLock`, or `std::sync::atomic::Atomic*` smuggled into one
+# `std::sync::RwLock`, `std::sync::OnceLock`/`LazyLock` (whose internal
+# lock would hide, e.g., the instance cache's fill race), or
+# `std::sync::atomic::Atomic*` smuggled into one
 # of these crates would be invisible to lockdep and to the deterministic
 # scheduler — the sanitizer would silently stop covering that code path.
 #
@@ -19,7 +21,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 MIGRATED="crates/object/src crates/server/src crates/storage/src crates/vendor/minipool/src"
-PATTERN='std::sync::(Mutex|RwLock)|std::sync::atomic::(\{[^}]*)?Atomic(Bool|U8|U16|U32|U64|Usize|I8|I16|I32|I64|Isize|Ptr)'
+PATTERN='std::sync::(Mutex|RwLock|OnceLock|LazyLock)|std::sync::atomic::(\{[^}]*)?Atomic(Bool|U8|U16|U32|U64|Usize|I8|I16|I32|I64|Isize|Ptr)'
 
 # shellcheck disable=SC2086  # MIGRATED is a deliberate word list
 hits=$(grep -rnE "$PATTERN" $MIGRATED || true)

@@ -36,7 +36,7 @@ pub struct Measurement {
 
 /// Measure an instance w.r.t. `⟨i,k⟩`-types.
 pub fn measure(order: &AtomOrder, instance: &Instance, i: usize, k: usize) -> Measurement {
-    let atoms = instance.atoms().len();
+    let atoms = instance.atom_count();
     let dom_log2 = ik_dom_card_log2(i, k, atoms.max(1));
     // ‖dom‖ ≤ |dom|·P(log|dom|): on a log2 scale the polylog factor is
     // log2(polylog) = O(log log) — add one representative term.
@@ -176,7 +176,7 @@ pub struct TypeMeasurement {
 
 /// Measure one instance against one type.
 pub fn measure_type(instance: &Instance, ty: &no_object::Type) -> TypeMeasurement {
-    let atoms = instance.atoms().len();
+    let atoms = instance.atom_count();
     TypeMeasurement {
         atoms,
         occurrences: instance.subobject_count(ty),

@@ -1,7 +1,7 @@
 //! Columnar physical operators.
 //!
 //! Every kernel consumes and produces *canonical* [`ColumnTable`]s (see
-//! [`crate::table`]), so for one interner the output of an operator is a
+//! [`no_object::table`]), so for one interner the output of an operator is a
 //! unique bit pattern: hash-join, merge-join, and nested-loop produce the
 //! **identical** table for the same inputs, regardless of thread count or
 //! hash-map iteration order — the property the differential fuzzer
@@ -22,9 +22,8 @@
 
 use crate::meter::BlockMeter;
 use crate::pred::RowPred;
-use crate::table::ColumnTable;
 use minipool::{split, ThreadPool};
-use no_object::{Governor, Interner, ResourceError, ValueId};
+use no_object::{ColumnTable, Governor, Interner, ResourceError, ValueId};
 use std::cmp::Ordering;
 
 /// Probe sides at or above this row count fan out across the pool.

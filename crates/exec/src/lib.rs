@@ -1,11 +1,11 @@
 //! # `no-exec` — columnar execution kernels
 //!
 //! The physical execution layer the planner (`crates/plan`) lowers to
-//! when a query falls in the *flat conjunctive* fragment: column-major
-//! relation storage over interned ids ([`ColumnTable`]), secondary hash
-//! and sorted indexes, and real join algorithms — hash join, merge join,
-//! nested loop — chosen per join from collected statistics instead of
-//! always binding to the tree-walk kernels.
+//! when a query falls in the *flat conjunctive* fragment: operators over
+//! column-major relations of interned ids ([`no_object::ColumnTable`])
+//! with secondary hash and sorted indexes, and real join algorithms —
+//! hash join, merge join, nested loop — chosen per join from collected
+//! statistics instead of always binding to the tree-walk kernels.
 //!
 //! Design invariants (see DESIGN.md §14):
 //!
@@ -14,33 +14,25 @@
 //!   algorithms produce bit-identical outputs and results are
 //!   independent of thread count — the property `tests/exec_differential.rs`
 //!   fuzzes.
-//! * **Deterministic interning.** Each execution interns scans and
-//!   constants from a single thread into a fresh arena; workers only read
-//!   ids, so raw-id order (an internal device that never escapes into
-//!   results) is reproducible.
+//! * **Intern once per instance.** Scans read the canonical id tables the
+//!   [`no_object::Instance`] caches (interned on a relation's first use,
+//!   dropped by any mutation), and each execution interns its constants
+//!   into that same arena; workers only read ids. Raw-id order is an
+//!   internal device that never escapes into results, and no governor
+//!   charge depends on whether a table was cached.
 //! * **Block-batched metering.** Governor charges accumulate locally and
 //!   flush per [`meter::BLOCK`] steps ([`meter::BlockMeter`]): same
 //!   totals as per-row charging, trip granularity coarsened by at most
 //!   one block.
-//!
-//! The Datalog engine uses the row-major sibling [`IndexedRel`] for
-//! semi-naive delta joins: the delta side probes per-column hash indexes
-//! on bound positions instead of scanning.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod delta;
 pub mod kernels;
 pub mod meter;
 pub mod plan;
 pub mod pred;
-pub mod table;
 
-pub use delta::{
-    delta_difference, delta_join, delta_project, delta_select, delta_union, DeltaTable,
-};
 pub use kernels::JoinAlgo;
 pub use plan::{execute, ExecId, ExecOp, ExecPlan};
 pub use pred::RowPred;
-pub use table::{ColumnTable, IndexedRel};

@@ -2,11 +2,10 @@
 //!
 //! [`ExecPlan`] is the physical artifact `crates/plan` lowers conjunctive
 //! CALC queries and flat algebra expressions to. It is built once per
-//! (query, schema) and executed many times: [`execute`] starts from a
-//! fresh interner, interns the scanned base relations and plan constants
-//! (single-threaded, so id admission order — and hence every canonical
-//! table — is deterministic for a given plan and instance, independent of
-//! the pool), evaluates the arena bottom-up with the kernels of
+//! (query, schema) and executed many times: [`execute`] takes the scanned
+//! base relations from the instance's cached id tables
+//! ([`Instance::id_table`]), interns the plan constants into the same
+//! arena, evaluates the arena bottom-up with the kernels of
 //! [`crate::kernels`], and resolves the root back to a value-level
 //! [`Relation`].
 //!
@@ -18,10 +17,10 @@ use crate::kernels;
 pub use crate::kernels::JoinAlgo;
 use crate::meter::BlockMeter;
 use crate::pred::RowPred;
-use crate::table::ColumnTable;
 use minipool::ThreadPool;
-use no_object::{Governor, Instance, Interner, Relation, ResourceError, Value};
+use no_object::{ColumnTable, Governor, Instance, Relation, ResourceError, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Index of a node in an [`ExecPlan`] arena.
 pub type ExecId = usize;
@@ -145,14 +144,15 @@ impl ExecPlan {
     }
 }
 
-/// Run a plan against an instance: fresh interner, bottom-up kernel
-/// evaluation, root resolved to a value-level relation.
+/// Run a plan against an instance: bottom-up kernel evaluation over the
+/// instance's interned form, root resolved to a value-level relation.
 ///
 /// The first governor touch is a checkpoint at `"exec.start"`, so
-/// injected faults and cancellations fire before any work. Base-relation
-/// interning is treated as input admission (metered one step per row,
-/// like the Datalog engine's EDB load, but not charged as materialized
-/// memory); every operator's output is metered through [`BlockMeter`].
+/// injected faults and cancellations fire before any work. A scan is
+/// treated as input admission — metered one step per base row, like the
+/// Datalog engine's EDB load, whether or not the instance had its table
+/// cached, and not charged as materialized memory; every operator's
+/// output is metered through [`BlockMeter`].
 pub fn execute(
     plan: &ExecPlan,
     instance: &Instance,
@@ -160,32 +160,26 @@ pub fn execute(
     pool: &ThreadPool,
 ) -> Result<Relation, ResourceError> {
     governor.checkpoint("exec.start")?;
-    let int = Interner::new();
-    let mut scans: HashMap<&str, ColumnTable> = HashMap::new();
-    let mut slots: Vec<ColumnTable> = Vec::with_capacity(plan.nodes.len());
+    let int = instance.interner();
+    let mut scans: HashMap<&str, Arc<ColumnTable>> = HashMap::new();
+    let mut slots: Vec<Arc<ColumnTable>> = Vec::with_capacity(plan.nodes.len());
 
     for op in plan.nodes() {
         let table = match op {
             ExecOp::Scan { rel } => {
-                if let Some(t) = scans.get(rel.as_str()) {
-                    t.clone()
-                } else {
-                    let arity = instance
-                        .schema()
-                        .get(rel)
-                        .map_or(0, no_object::RelationSchema::arity);
-                    let base = instance.relation(rel);
-                    let mut m = BlockMeter::new(governor, "exec.scan");
-                    m.work(base.len() as u64)?;
-                    m.finish()?;
-                    let mut t = ColumnTable::empty(arity);
-                    for row in base.iter() {
-                        t.push_row(&int.intern_row(row));
+                let t = match scans.get(rel.as_str()) {
+                    Some(t) => Arc::clone(t),
+                    None => {
+                        let mut m = BlockMeter::new(governor, "exec.scan");
+                        m.work(instance.relation(rel).len() as u64)?;
+                        m.finish()?;
+                        let t = instance.id_table(rel);
+                        scans.insert(rel.as_str(), Arc::clone(&t));
+                        t
                     }
-                    t.canonicalize();
-                    scans.insert(rel.as_str(), t.clone());
-                    t
-                }
+                };
+                slots.push(t);
+                continue;
             }
             ExecOp::Empty { arity } => ColumnTable::empty(*arity),
             ExecOp::Const { arity, rows } => {
@@ -222,7 +216,7 @@ pub fn execute(
                 algo,
             } => kernels::join(&slots[*left], &slots[*right], keys, *algo, governor, pool)?,
         };
-        slots.push(table);
+        slots.push(Arc::new(table));
     }
 
     let out = &slots[plan.root()];

@@ -3,12 +3,12 @@
 //! [`RowPred`] mirrors the algebra's `Pred` shape (equality between
 //! columns, equality with a constant, membership, subset, and the boolean
 //! connectives) but over **0-based** columns and carrying constants as
-//! plain values: an execution plan is built once and executed against a
-//! fresh interner each run, so constants are interned per execution by
-//! [`RowPred::compile`], after which evaluation is pure id work.
+//! plain values: an execution plan is built once and executed against
+//! many instances, so constants are interned per execution by
+//! [`RowPred::compile`] into the instance's arena, after which evaluation
+//! is pure id work.
 
-use crate::table::ColumnTable;
-use no_object::{Interner, Value, ValueId};
+use no_object::{ColumnTable, Interner, Value, ValueId};
 
 /// A predicate over one row of a [`ColumnTable`], columns 0-based.
 #[derive(Clone, Debug, PartialEq)]

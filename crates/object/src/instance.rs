@@ -6,10 +6,33 @@
 //! (length of the standard tape encoding) — for complex objects these can
 //! diverge arbitrarily, which is what the density/sparsity analysis is
 //! about.
+//!
+//! # The interned form
+//!
+//! Every instance carries a lazily built interned copy of itself: one
+//! [`Interner`] arena, the canonical [`ColumnTable`] of each relation
+//! (built on the relation's first use) with its exact per-column distinct
+//! counts (on first request), and the atom set `atom(I)`. The columnar executor scans from it,
+//! the planner's statistics read from it, and [`Instance::atoms`] is
+//! served from it, so a read-only workload interns the database once
+//! instead of once per request. Every `&mut self` mutator that changes
+//! the data drops it; since the relations are private and only those
+//! mutators reach them, a cached table can never describe stale rows.
+//! Equality and `Clone` ignore it (a clone starts cold).
+//!
+//! Concurrent readers of one instance race to fill the cache through the
+//! `conc` mutex shims: the first builds each piece while the others wait
+//! for it, so there is at most one interned copy. Lock order is the
+//! outer cache slot, released before a piece's slot is taken, and then
+//! the interner's shard locks, which the build takes while holding the
+//! piece's slot; nothing takes a cache slot while holding a shard lock.
 
 use crate::atom::Atom;
+use crate::intern::Interner;
+use crate::table::ColumnTable;
 use crate::types::Type;
 use crate::value::Value;
+use conc::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
 use std::sync::Arc;
@@ -202,11 +225,74 @@ impl FromIterator<Vec<Value>> for Relation {
     }
 }
 
+/// A lazily filled, shareable slot: the first [`Slot::get_or_init`]
+/// builds the value under the slot's lock (concurrent callers wait for
+/// it instead of building their own), later calls clone the `Arc`.
+struct Slot<T> {
+    value: Mutex<Option<Arc<T>>>,
+}
+
+impl<T> Slot<T> {
+    fn new(class: &'static str) -> Self {
+        Slot {
+            value: Mutex::new_named(class, None),
+        }
+    }
+
+    fn get_or_init(&self, build: impl FnOnce() -> T) -> Arc<T> {
+        let mut value = self.value.lock();
+        Arc::clone(value.get_or_insert_with(|| Arc::new(build())))
+    }
+
+    fn clear(&mut self) {
+        *self.value.get_mut() = None;
+    }
+}
+
+/// The interned form of one instance (see the module docs).
+struct Interned {
+    interner: Interner,
+    atoms: Slot<BTreeSet<Atom>>,
+    tables: BTreeMap<String, Slot<IdTable>>,
+}
+
+/// One relation's canonical id table and, once asked for, its exact
+/// per-column distinct counts (the executor never needs them).
+struct IdTable {
+    table: Arc<ColumnTable>,
+    distinct: Slot<Vec<u64>>,
+}
+
 /// A database instance over a [`Schema`].
-#[derive(Clone, PartialEq, Debug)]
 pub struct Instance {
     schema: Schema,
     relations: BTreeMap<String, Relation>,
+    interned: Slot<Interned>,
+}
+
+impl Clone for Instance {
+    fn clone(&self) -> Self {
+        Instance {
+            schema: self.schema.clone(),
+            relations: self.relations.clone(),
+            interned: Slot::new("instance.interned"),
+        }
+    }
+}
+
+impl PartialEq for Instance {
+    fn eq(&self, other: &Self) -> bool {
+        self.schema == other.schema && self.relations == other.relations
+    }
+}
+
+impl fmt::Debug for Instance {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Instance")
+            .field("schema", &self.schema)
+            .field("relations", &self.relations)
+            .finish()
+    }
 }
 
 impl Instance {
@@ -216,7 +302,11 @@ impl Instance {
             .relations()
             .map(|r| (r.name.clone(), Relation::new()))
             .collect();
-        Instance { schema, relations }
+        Instance {
+            schema,
+            relations,
+            interned: Slot::new("instance.interned"),
+        }
     }
 
     /// The schema of this instance.
@@ -253,10 +343,15 @@ impl Instance {
         for (v, t) in row.iter().zip(&rel_schema.column_types) {
             assert!(v.has_type(t), "value {v} not of type {t} in {name}");
         }
-        self.relations
+        let fresh = self
+            .relations
             .get_mut(name)
             .expect("validated above")
-            .insert(row)
+            .insert(row);
+        if fresh {
+            self.interned.clear();
+        }
+        fresh
     }
 
     /// Delete a row; returns whether it was present. The inverse of
@@ -265,10 +360,15 @@ impl Instance {
     /// # Panics
     /// Panics on an unknown relation name, like every schema mismatch.
     pub fn delete(&mut self, name: &str, row: &[Value]) -> bool {
-        self.relations
+        let removed = self
+            .relations
             .get_mut(name)
             .unwrap_or_else(|| panic!("relation {name:?} not in schema"))
-            .remove(row)
+            .remove(row);
+        if removed {
+            self.interned.clear();
+        }
+        removed
     }
 
     /// Replace the extension of a relation wholesale (rows must already be
@@ -279,19 +379,101 @@ impl Instance {
             "relation {name:?} not in schema"
         );
         self.relations.insert(name.to_string(), rel);
+        self.interned.clear();
     }
 
-    /// `atom(I)`: the set of atomic constants occurring in the instance.
+    fn interned(&self) -> Arc<Interned> {
+        self.interned.get_or_init(|| Interned {
+            interner: Interner::new(),
+            atoms: Slot::new("instance.interned.atoms"),
+            tables: self
+                .relations
+                .keys()
+                .map(|name| (name.clone(), Slot::new("instance.interned.table")))
+                .collect(),
+        })
+    }
+
+    /// `atom(I)`: the set of atomic constants occurring in the instance
+    /// (a copy of the cached set).
     pub fn atoms(&self) -> BTreeSet<Atom> {
-        let mut out = BTreeSet::new();
-        for rel in self.relations.values() {
-            for row in rel.iter() {
-                for v in row {
-                    v.collect_atoms(&mut out);
+        self.cached_atoms().as_ref().clone()
+    }
+
+    /// `|atom(I)|`, the active-domain size, without copying the set.
+    pub fn atom_count(&self) -> usize {
+        self.cached_atoms().len()
+    }
+
+    fn cached_atoms(&self) -> Arc<BTreeSet<Atom>> {
+        self.interned().atoms.get_or_init(|| {
+            let mut out = BTreeSet::new();
+            for rel in self.relations.values() {
+                for row in rel.iter() {
+                    for v in row {
+                        v.collect_atoms(&mut out);
+                    }
                 }
             }
-        }
-        out
+            out
+        })
+    }
+
+    /// The arena the cached id tables live in. Ids from
+    /// [`Instance::id_table`] belong to it for as long as the instance
+    /// is borrowed; intern constants into it to compare them with scanned
+    /// ids.
+    pub fn interner(&self) -> Interner {
+        self.interned().interner.clone()
+    }
+
+    /// The canonical id table of a relation, interned into
+    /// [`Instance::interner`] on first use.
+    ///
+    /// # Panics
+    /// Panics on an unknown relation name, like every schema mismatch.
+    pub fn id_table(&self, name: &str) -> Arc<ColumnTable> {
+        Arc::clone(&self.cached_table(name).table)
+    }
+
+    /// Exact distinct values per column of a relation (hash-consing makes
+    /// distinct ids distinct values).
+    ///
+    /// # Panics
+    /// Panics on an unknown relation name, like every schema mismatch.
+    pub fn distinct_counts(&self, name: &str) -> Vec<u64> {
+        let cached = self.cached_table(name);
+        let table = &cached.table;
+        let counts = cached.distinct.get_or_init(|| {
+            (0..table.arity())
+                .map(|c| table.distinct(c) as u64)
+                .collect()
+        });
+        counts.to_vec()
+    }
+
+    fn cached_table(&self, name: &str) -> Arc<IdTable> {
+        let interned = self.interned();
+        let slot = interned
+            .tables
+            .get(name)
+            .unwrap_or_else(|| panic!("relation {name:?} not in schema"));
+        slot.get_or_init(|| {
+            let arity = self.schema.get(name).map_or(0, RelationSchema::arity);
+            let rel = self.relation(name);
+            let mut table = ColumnTable::empty(arity);
+            let mut ids = Vec::with_capacity(arity);
+            for row in rel.iter() {
+                ids.clear();
+                ids.extend(row.iter().map(|v| interned.interner.intern(v)));
+                table.push_row(&ids);
+            }
+            table.canonicalize();
+            IdTable {
+                table: Arc::new(table),
+                distinct: Slot::new("instance.interned.distinct"),
+            }
+        })
     }
 
     /// `|I|`: the cardinality — total number of tuples across relations.

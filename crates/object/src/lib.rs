@@ -11,9 +11,12 @@
 //!   `dom(T, D)` with hyperexponential-safe cardinality arithmetic;
 //! * [`nat`] — the arbitrary-precision naturals backing that arithmetic;
 //! * [`hyper`] — the `hyper(i,k)` tower bound of Section 2;
-//! * [`instance`] — schemas, relations, instances, `|I|` vs `‖I‖`;
+//! * [`instance`] — schemas, relations, instances, `|I|` vs `‖I‖`, and
+//!   each instance's lazily built interned form;
 //! * [`intern`] — the hash-consing arena giving every canonical value a
 //!   [`ValueId`] with O(1) equality, shared by all engine hot paths;
+//! * [`table`] — column-major canonical relations over interned ids, the
+//!   storage of the columnar executor and of the interned form;
 //! * [`encoding`] — the standard TM-tape encoding of Figure 2, with a
 //!   decoder;
 //! * [`text`] — a human-readable database text format for tools and the
@@ -59,6 +62,7 @@ pub mod intern;
 pub mod nat;
 pub mod order;
 pub mod span;
+pub mod table;
 pub mod text;
 pub mod types;
 pub mod value;
@@ -70,5 +74,6 @@ pub use instance::{Instance, Relation, RelationSchema, Schema};
 pub use intern::{IdRelation, Interner, ValueId};
 pub use nat::Nat;
 pub use span::{caret_excerpt, Excerpt, Span};
+pub use table::ColumnTable;
 pub use types::Type;
 pub use value::{SetValue, Value};

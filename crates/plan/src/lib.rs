@@ -16,7 +16,8 @@
 //! - [`ir`] — the flat-arena logical plan (operators named after the
 //!   paper's constructs, down to Definition 5.2/5.3 range rules);
 //! - [`lower`] — CALC / algebra / Datalog¬ lowering;
-//! - [`stats`] — O(schema) instance statistics and schema fingerprints;
+//! - [`stats`] — instance statistics (read from the instance's cached
+//!   interned form) and schema fingerprints;
 //! - [`passes`] — pushdown, quantifier reordering, CSE, the semi-naive
 //!   delta rewrite, and governor-aware early-trip annotation;
 //! - [`joins`] — the join-algorithms pass: flat conjunctive CALC and flat

@@ -1,19 +1,22 @@
 //! Instance statistics and schema fingerprints.
 //!
-//! Two collection tiers. [`Stats::of`] never scans data: everything it
-//! knows comes from the relation cardinalities an [`Instance`] already
-//! maintains plus the atom count (the active-domain size), keeping
-//! planning O(schema). [`Stats::of_detailed`] additionally makes one
-//! O(data) pass to count **exact** distinct values per column — the
-//! signal the join-algorithm pass uses to spot duplicate-heavy keys.
-//! Sessions collect detailed stats once per planner build and the plan
-//! cache amortizes the scan; staleness can only affect algorithm
-//! *choice*, never correctness (every algorithm computes the same join).
+//! Two collection tiers, both read from the instance's cached interned
+//! form (see `no_object::instance`). [`Stats::of`] takes relation
+//! cardinalities and the atom count (the active-domain size); the atom
+//! set is walked once per instance and then cached. [`Stats::of_detailed`]
+//! adds **exact** distinct values per column — the signal the
+//! join-algorithm pass uses to spot duplicate-heavy keys — which come
+//! with each relation's cached id table: the first call on an instance
+//! interns every relation, later calls (on every plan-cache miss) are
+//! O(schema). The cache is dropped by every mutation, so stats always
+//! describe the live rows; a *cached plan* may still carry estimates
+//! from older stats, which can only affect algorithm choice, never
+//! correctness (every algorithm computes the same join).
 
 use no_core::ast::{Formula, Term};
-use no_object::{Instance, Schema, Type, Value};
+use no_object::{Instance, Schema, Type};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
 /// Relation cardinalities, the active-domain size, and (when collected
@@ -30,8 +33,8 @@ pub struct Stats {
 }
 
 impl Stats {
-    /// Collect stats from an instance (O(#relations), no data scan beyond
-    /// the cardinality counters the instance already keeps).
+    /// Collect cardinalities and the atom count. O(#relations) once the
+    /// instance's atom set is cached; the first call walks the data.
     pub fn of(instance: &Instance) -> Stats {
         let rel_rows = instance
             .schema()
@@ -40,28 +43,19 @@ impl Stats {
             .collect();
         Stats {
             rel_rows,
-            atoms: instance.atoms().len() as u64,
+            atoms: instance.atom_count() as u64,
             rel_distinct: BTreeMap::new(),
         }
     }
 
-    /// Collect stats including exact per-column distinct counts: one
-    /// O(‖I‖ log ‖I‖) pass per relation.
+    /// Collect stats including exact per-column distinct counts, read
+    /// from the instance's cached id tables (built on first use).
     pub fn of_detailed(instance: &Instance) -> Stats {
         let mut stats = Stats::of(instance);
         for r in instance.schema().relations() {
-            let rel = instance.relation(&r.name);
-            let arity = r.arity();
-            let mut sets: Vec<BTreeSet<&Value>> = vec![BTreeSet::new(); arity];
-            for row in rel.iter() {
-                for (c, v) in row.iter().enumerate() {
-                    sets[c].insert(v);
-                }
-            }
-            stats.rel_distinct.insert(
-                r.name.clone(),
-                sets.iter().map(|s| s.len() as u64).collect(),
-            );
+            stats
+                .rel_distinct
+                .insert(r.name.clone(), instance.distinct_counts(&r.name));
         }
         stats
     }

@@ -138,7 +138,7 @@ impl Shell {
             path,
             schema.len(),
             instance.cardinality(),
-            instance.atoms().len()
+            instance.atom_count()
         );
         store.set_instance(instance);
         Ok(summary)
