@@ -10,17 +10,23 @@
 //! arena growth) against the memory budget, and cancellation/deadline are
 //! honoured at each operator boundary.
 //!
-//! Internally every operator works on hash-consed [`IdRelation`]s: rows
-//! are slices of [`no_object::ValueId`], so product/difference dedup,
-//! nest grouping, and powerset masks compare `u32` ids instead of value
-//! trees. The input instance is interned once per evaluation and the
-//! result resolved back to a [`Relation`] at the boundary.
+//! Internally every operator works on hash-consed rows of
+//! [`no_object::ValueId`]s, so product/difference dedup, nest grouping,
+//! and powerset masks compare `u32` ids instead of value trees. A stored
+//! relation is the instance's cached id table itself
+//! ([`Instance::id_table`], shared, not copied): `select` over it boxes
+//! only the rows it keeps, and membership tests against it are binary
+//! searches. Operators that build rows produce [`IdRelation`]s, with
+//! constants and new values interned into a per-evaluation overlay on
+//! the instance's arena ([`Instance::overlay`]); the result resolves back
+//! to a [`Relation`] at the boundary.
 
 use crate::expr::{AlgebraError, Expr, Pred};
 use minipool::ThreadPool;
 use no_object::intern::{IdRelation, Interner, ValueId};
-use no_object::{Governor, Instance, Limits, Relation};
+use no_object::{ColumnTable, Governor, Instance, Limits, Relation};
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Minimum product cell count before the evaluator bothers fanning a
@@ -120,15 +126,65 @@ pub fn eval_pooled(
 ) -> Result<Relation, AlgebraError> {
     // typecheck up front so evaluation can assume well-formedness
     expr.output_types(instance.schema())?;
-    let interner = Interner::new();
+    let interner = instance.overlay();
     let out = eval_i(expr, instance, governor, &interner, pool)?;
-    Ok(out.to_relation(&interner))
+    Ok(out.into_derived().to_relation(&interner))
+}
+
+/// An operator's result: a stored relation's cached table, or rows the
+/// evaluation built.
+enum Rows {
+    Stored(Arc<ColumnTable>),
+    Derived(IdRelation),
+}
+
+impl Rows {
+    fn len(&self) -> usize {
+        match self {
+            Rows::Stored(t) => t.len(),
+            Rows::Derived(rel) => rel.len(),
+        }
+    }
+
+    fn contains(&self, row: &[ValueId]) -> bool {
+        match self {
+            Rows::Stored(t) => t.contains_row(row),
+            Rows::Derived(rel) => rel.contains(row),
+        }
+    }
+
+    /// Call `f` on every row, in unspecified order.
+    fn try_for_each(
+        &self,
+        mut f: impl FnMut(&[ValueId]) -> Result<(), AlgebraError>,
+    ) -> Result<(), AlgebraError> {
+        match self {
+            Rows::Stored(t) => {
+                let mut row = Vec::with_capacity(t.arity());
+                for i in 0..t.len() {
+                    t.read_row(i, &mut row);
+                    f(&row)?;
+                }
+                Ok(())
+            }
+            Rows::Derived(rel) => rel.iter().try_for_each(f),
+        }
+    }
+
+    /// The rows as a relation of their own (copies a stored table's rows;
+    /// nothing is interned).
+    fn into_derived(self) -> IdRelation {
+        match self {
+            Rows::Stored(t) => (0..t.len()).map(|i| t.row(i).into_boxed_slice()).collect(),
+            Rows::Derived(rel) => rel,
+        }
+    }
 }
 
 /// Check an (intermediate) result against the row cap.
-fn guard(rel: &IdRelation, governor: &Governor) -> Result<(), AlgebraError> {
+fn guard(len: usize, governor: &Governor) -> Result<(), AlgebraError> {
     governor
-        .check_range("algebra.rows", rel.len() as u64)
+        .check_range("algebra.rows", len as u64)
         .map_err(AlgebraError::from)
 }
 
@@ -153,34 +209,38 @@ fn eval_i(
     governor: &Governor,
     int: &Interner,
     pool: &ThreadPool,
-) -> Result<IdRelation, AlgebraError> {
+) -> Result<Rows, AlgebraError> {
     governor.checkpoint("algebra.eval")?;
+    let derived = |e: &Expr| eval_i(e, instance, governor, int, pool);
     let out = match expr {
-        Expr::Rel(name) => IdRelation::from_relation(int, instance.relation(name)),
-        Expr::Const(_, rows) => rows.iter().map(|r| int.intern_row(r)).collect(),
+        Expr::Rel(name) => Rows::Stored(instance.id_table(name)),
+        Expr::Const(_, rows) => Rows::Derived(rows.iter().map(|r| int.intern_row(r)).collect()),
         Expr::Select(e, pred) => {
-            let input = eval_i(e, instance, governor, int, pool)?;
+            let input = derived(e)?;
+            let pred = IdPred::compile(pred, int);
             let mut out = IdRelation::new();
-            for row in input.iter() {
-                if holds(pred, row, int) {
+            input.try_for_each(|row| {
+                if pred.holds(row, int) {
                     out.insert(row.to_vec().into_boxed_slice());
                 }
-            }
-            out
+                Ok(())
+            })?;
+            Rows::Derived(out)
         }
         Expr::Project(e, cols) => {
-            let input = eval_i(e, instance, governor, int, pool)?;
+            let input = derived(e)?;
             let mut out = IdRelation::new();
-            for row in input.iter() {
+            input.try_for_each(|row| {
                 let new: Vec<ValueId> = cols.iter().map(|&i| row[i - 1]).collect();
                 charge_row(governor, "algebra.project", new.len(), 0)?;
                 out.insert(new.into_boxed_slice());
-            }
-            out
+                Ok(())
+            })?;
+            Rows::Derived(out)
         }
         Expr::Product(a, b) => {
-            let ra = eval_i(a, instance, governor, int, pool)?;
-            let rb = eval_i(b, instance, governor, int, pool)?;
+            let ra = derived(a)?.into_derived();
+            let rb = derived(b)?.into_derived();
             // check the product size before materialising anything
             let cells = (ra.len() as u64).saturating_mul(rb.len() as u64);
             governor.check_range("algebra.product", cells)?;
@@ -205,7 +265,7 @@ fn eval_i(
                 for part in &parts {
                     out.absorb(part);
                 }
-                out
+                Rows::Derived(out)
             } else {
                 let mut out = IdRelation::new();
                 for x in ra.iter() {
@@ -216,42 +276,43 @@ fn eval_i(
                         out.insert(row.into_boxed_slice());
                     }
                 }
-                out
+                Rows::Derived(out)
             }
         }
         Expr::Union(a, b) => {
-            let mut ra = eval_i(a, instance, governor, int, pool)?;
-            let rb = eval_i(b, instance, governor, int, pool)?;
-            ra.absorb(&rb);
-            ra
+            let mut ra = derived(a)?.into_derived();
+            let rb = derived(b)?;
+            rb.try_for_each(|row| {
+                ra.insert(row.to_vec().into_boxed_slice());
+                Ok(())
+            })?;
+            Rows::Derived(ra)
         }
-        Expr::Difference(a, b) => {
-            let ra = eval_i(a, instance, governor, int, pool)?;
-            let rb = eval_i(b, instance, governor, int, pool)?;
-            ra.iter()
-                .filter(|r| !rb.contains(r))
-                .map(|r| r.to_vec().into_boxed_slice())
-                .collect()
-        }
-        Expr::Intersect(a, b) => {
-            let ra = eval_i(a, instance, governor, int, pool)?;
-            let rb = eval_i(b, instance, governor, int, pool)?;
-            ra.iter()
-                .filter(|r| rb.contains(r))
-                .map(|r| r.to_vec().into_boxed_slice())
-                .collect()
+        Expr::Difference(a, b) | Expr::Intersect(a, b) => {
+            let keep_common = matches!(expr, Expr::Intersect(..));
+            let ra = derived(a)?;
+            let rb = derived(b)?;
+            let mut out = IdRelation::new();
+            ra.try_for_each(|row| {
+                if rb.contains(row) == keep_common {
+                    out.insert(row.to_vec().into_boxed_slice());
+                }
+                Ok(())
+            })?;
+            Rows::Derived(out)
         }
         Expr::Nest(e, col) => {
-            let input = eval_i(e, instance, governor, int, pool)?;
+            let input = derived(e)?;
             let i = col - 1;
             // group by all other columns; id rows hash in O(arity)
             let mut groups: HashMap<Vec<ValueId>, Vec<ValueId>> = HashMap::new();
-            for row in input.iter() {
+            input.try_for_each(|row| {
                 governor.tick("algebra.nest")?;
                 let mut key = row.to_vec();
                 let val = key.remove(i);
                 groups.entry(key).or_default().push(val);
-            }
+                Ok(())
+            })?;
             let mut out = IdRelation::new();
             for (mut key, vals) in groups {
                 let (set, grown) = int.intern_set_with_growth(vals);
@@ -259,29 +320,28 @@ fn eval_i(
                 charge_row(governor, "algebra.nest", key.len(), grown)?;
                 out.insert(key.into_boxed_slice());
             }
-            out
+            Rows::Derived(out)
         }
         Expr::Unnest(e, col) => {
-            let input = eval_i(e, instance, governor, int, pool)?;
+            let input = derived(e)?;
             let i = col - 1;
             let mut out = IdRelation::new();
-            for row in input.iter() {
+            input.try_for_each(|row| {
                 let Some(elems) = int.set_elems(row[i]) else {
                     unreachable!("typechecked: unnest column is a set")
                 };
-                let elems = elems.to_vec();
-                for elem in elems {
+                for &elem in elems {
                     let mut new = row.to_vec();
                     new[i] = elem;
                     charge_row(governor, "algebra.unnest", new.len(), 0)?;
                     out.insert(new.into_boxed_slice());
                 }
-                guard(&out, governor)?;
-            }
-            out
+                guard(out.len(), governor)
+            })?;
+            Rows::Derived(out)
         }
         Expr::Powerset(e) => {
-            let input = eval_i(e, instance, governor, int, pool)?;
+            let input = derived(e)?;
             let n = input.len();
             // check the 2^n blowup before materialising anything
             if n >= 63 {
@@ -290,7 +350,11 @@ fn eval_i(
             governor.check_range("algebra.powerset", 1u64 << n)?;
             // single column (typechecked); canonical element order so every
             // mask yields an already-canonical id slice
-            let mut elems: Vec<ValueId> = input.iter().map(|row| row[0]).collect();
+            let mut elems: Vec<ValueId> = Vec::with_capacity(n);
+            input.try_for_each(|row| {
+                elems.push(row[0]);
+                Ok(())
+            })?;
             elems.sort_unstable_by(|a, b| int.cmp(*a, *b));
             let emit = |mask: u64, out: &mut IdRelation| -> Result<(), AlgebraError> {
                 let members: Vec<ValueId> = elems
@@ -318,39 +382,64 @@ fn eval_i(
                 for part in &parts {
                     out.absorb(part);
                 }
-                out
+                Rows::Derived(out)
             } else {
                 let mut out = IdRelation::new();
                 for mask in 0u64..(1u64 << n) {
                     emit(mask, &mut out)?;
                 }
-                out
+                Rows::Derived(out)
             }
         }
     };
-    guard(&out, governor)?;
+    guard(out.len(), governor)?;
     Ok(out)
 }
 
-fn holds(pred: &Pred, row: &[ValueId], int: &Interner) -> bool {
-    match pred {
-        Pred::EqCols(a, b) => row[a - 1] == row[b - 1],
-        Pred::EqConst(a, v) => {
-            // hash-consed: after the first call this is a lookup, and the
-            // comparison is an id compare
-            row[a - 1] == int.intern(v)
+/// A [`Pred`] with its constants interned once per `select`, so testing a
+/// row is pure id work.
+enum IdPred {
+    EqCols(usize, usize),
+    EqConst(usize, ValueId),
+    InCols(usize, usize),
+    SubsetCols(usize, usize),
+    Not(Box<IdPred>),
+    And(Box<IdPred>, Box<IdPred>),
+    Or(Box<IdPred>, Box<IdPred>),
+}
+
+impl IdPred {
+    fn compile(pred: &Pred, int: &Interner) -> IdPred {
+        let sub = |p: &Pred| Box::new(IdPred::compile(p, int));
+        match pred {
+            Pred::EqCols(a, b) => IdPred::EqCols(*a, *b),
+            Pred::EqConst(a, v) => IdPred::EqConst(*a, int.intern(v)),
+            Pred::InCols(a, b) => IdPred::InCols(*a, *b),
+            Pred::SubsetCols(a, b) => IdPred::SubsetCols(*a, *b),
+            Pred::Not(p) => IdPred::Not(sub(p)),
+            Pred::And(p, q) => IdPred::And(sub(p), sub(q)),
+            Pred::Or(p, q) => IdPred::Or(sub(p), sub(q)),
         }
-        Pred::InCols(a, b) => match int.set_elems(row[b - 1]) {
-            Some(elems) => int.set_contains(elems, row[a - 1]),
-            None => false,
-        },
-        Pred::SubsetCols(a, b) => match (int.set_elems(row[a - 1]), int.set_elems(row[b - 1])) {
-            (Some(xs), Some(ys)) => int.set_is_subset(xs, ys),
-            _ => false,
-        },
-        Pred::Not(p) => !holds(p, row, int),
-        Pred::And(p, q) => holds(p, row, int) && holds(q, row, int),
-        Pred::Or(p, q) => holds(p, row, int) || holds(q, row, int),
+    }
+
+    fn holds(&self, row: &[ValueId], int: &Interner) -> bool {
+        match self {
+            IdPred::EqCols(a, b) => row[a - 1] == row[b - 1],
+            IdPred::EqConst(a, id) => row[a - 1] == *id,
+            IdPred::InCols(a, b) => match int.set_elems(row[b - 1]) {
+                Some(elems) => int.set_contains(elems, row[a - 1]),
+                None => false,
+            },
+            IdPred::SubsetCols(a, b) => {
+                match (int.set_elems(row[a - 1]), int.set_elems(row[b - 1])) {
+                    (Some(xs), Some(ys)) => int.set_is_subset(xs, ys),
+                    _ => false,
+                }
+            }
+            IdPred::Not(p) => !p.holds(row, int),
+            IdPred::And(p, q) => p.holds(row, int) && q.holds(row, int),
+            IdPred::Or(p, q) => p.holds(row, int) || q.holds(row, int),
+        }
     }
 }
 

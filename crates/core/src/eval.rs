@@ -19,7 +19,7 @@ use minipool::ThreadPool;
 use no_object::domain::{card, DomainIter};
 use no_object::governor::Governor;
 use no_object::intern::{IdRelation, Interner, ValueId};
-use no_object::{AtomOrder, Instance, Relation, Type, Value};
+use no_object::{AtomOrder, ColumnTable, Instance, Relation, Type, Value};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -125,9 +125,13 @@ fn ienv_get(env: &IEnv, v: &str) -> Option<ValueId> {
 /// The CALC evaluator over one instance.
 ///
 /// Internally the evaluator is fully hash-consed: every value it touches
-/// lives in a per-evaluator [`Interner`], relations are [`IdRelation`]s of
-/// id rows, and quantifier loops, fixpoint dedup, and membership tests all
-/// compare `u32` ids instead of value trees. The [`Value`]-level API
+/// is an id of the instance's interned form or of a per-evaluator overlay
+/// on it ([`Instance::overlay`]), stored relations are the instance's
+/// cached id tables (membership is a binary search), fixpoint relations
+/// are [`IdRelation`]s of id rows, and quantifier loops, fixpoint dedup,
+/// and membership tests all compare `u32` ids instead of value trees.
+/// Only values the instance does not hold are admitted to the overlay,
+/// so memory charges count exactly those. The [`Value`]-level API
 /// (`query`, `holds`, `eval_term`, `eval_fixpoint`, [`Env`]) is the
 /// boundary representation; conversions happen once per call, not per
 /// binding.
@@ -142,8 +146,8 @@ pub struct Evaluator<'a> {
     pool: ThreadPool,
     /// Explicit (restricted-domain) ranges, interned at installation.
     ranges: HashMap<VarName, Arc<Vec<ValueId>>>,
-    /// Lazily interned copies of the instance's relations.
-    base: HashMap<String, Arc<IdRelation>>,
+    /// The instance's cached id tables of the relations used so far.
+    tables: HashMap<String, Arc<ColumnTable>>,
     /// Fixpoint relations currently in scope (innermost last).
     aux: Vec<(String, Arc<IdRelation>)>,
     /// Scope-context identifiers: every push of an auxiliary relation gets
@@ -179,10 +183,10 @@ impl<'a> Evaluator<'a> {
             instance,
             order,
             governor,
-            intern: Interner::new(),
+            intern: instance.overlay(),
             pool: ThreadPool::sequential(),
             ranges: HashMap::new(),
-            base: HashMap::new(),
+            tables: HashMap::new(),
             aux: Vec::new(),
             ctx_stack: vec![0],
             ctx_counter: 0,
@@ -216,7 +220,7 @@ impl<'a> Evaluator<'a> {
             intern: self.intern.clone(),
             pool: ThreadPool::sequential(),
             ranges: self.ranges.clone(),
-            base: self.base.clone(),
+            tables: self.tables.clone(),
             aux: self.aux.clone(),
             ctx_stack: self.ctx_stack.clone(),
             // Worker-private context ids only key worker-private cache
@@ -241,7 +245,7 @@ impl<'a> Evaluator<'a> {
         self
     }
 
-    /// The interner backing this evaluation (for callers that want to
+    /// The overlay backing this evaluation (for callers that want to
     /// inspect arena growth, e.g. diagnostics).
     pub fn interner(&self) -> &Interner {
         &self.intern
@@ -537,13 +541,11 @@ impl<'a> Evaluator<'a> {
             return Ok(rel.contains(row));
         }
         if self.instance.schema().get(name).is_some() {
-            if !self.base.contains_key(name) {
-                // Intern the stored relation once; input data is not
-                // charged against the memory budget.
-                let idr = IdRelation::from_relation(&self.intern, self.instance.relation(name));
-                self.base.insert(name.to_string(), Arc::new(idr));
+            if !self.tables.contains_key(name) {
+                let table = self.instance.id_table(name);
+                self.tables.insert(name.to_string(), table);
             }
-            return Ok(self.base[name].contains(row));
+            return Ok(self.tables[name].contains_row(row));
         }
         Err(EvalError::UnknownRelation(name.to_string()))
     }

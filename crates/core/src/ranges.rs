@@ -28,7 +28,7 @@ use crate::eval::{active_order, Env, Evaluator, Query, RangeMap};
 use crate::rr::VarPath;
 use crate::typeck;
 use no_object::governor::Governor;
-use no_object::{Instance, Relation, SetValue, Type, Value};
+use no_object::{Instance, Interner, Relation, SetValue, Type, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -84,6 +84,8 @@ type FixCols = Vec<Option<BTreeSet<Value>>>;
 
 struct Ctx<'a> {
     instance: &'a Instance,
+    /// Reads the ids of the instance's cached tables (rule 1).
+    int: Interner,
     var_types: BTreeMap<VarName, Type>,
     /// The shared budget: range analysis, its nested evaluators, and the
     /// final evaluation all draw from this one governor.
@@ -97,6 +99,17 @@ struct Ctx<'a> {
 }
 
 impl Ctx<'_> {
+    /// Rule 1's range: the distinct values of column `j` of a stored
+    /// relation, read from its cached id table and resolved once each.
+    fn column_values(&self, name: &str, j: usize) -> Vec<Value> {
+        let table = self.instance.id_table(name);
+        table
+            .distinct_ids(j)
+            .into_iter()
+            .map(|id| self.int.resolve(id))
+            .collect()
+    }
+
     fn budget_check(&self, r: &Ranges) -> Result<(), EvalError> {
         self.governor
             .check_range("ranges.width", r.total_values() as u64)
@@ -126,6 +139,7 @@ pub fn compute_ranges_governed(
 ) -> Result<Ranges, EvalError> {
     let mut ctx = Ctx {
         instance,
+        int: instance.overlay(),
         var_types: var_types.clone(),
         governor: governor.clone(),
         fix_scope: Vec::new(),
@@ -221,8 +235,7 @@ fn ranges(ctx: &mut Ctx<'_>, f: &Formula) -> Result<Ranges, EvalError> {
                     }
                     None => {
                         if ctx.instance.schema().get(name).is_some() {
-                            let rel = ctx.instance.relation(name);
-                            out.add(p, rel.iter().map(|row| row[j].clone()));
+                            out.add(p, ctx.column_values(name, j));
                         }
                     }
                 }

@@ -15,35 +15,42 @@
 //! `datalog_seminaive` measures the speedup (a design-choice ablation from
 //! DESIGN.md §6).
 //!
-//! The join loops run over hash-consed rows: the EDB is interned once per
-//! evaluation, the IDB and deltas are [`IdRelation`]s, and unification
-//! binds [`ValueId`]s — so fact dedup and (not-)membership tests cost
-//! O(arity) id compares regardless of value nesting. Results resolve back
-//! to [`Relation`]s at the boundary.
+//! The join loops run over hash-consed rows. Stored (EDB) relations are
+//! read straight from the instance's cached id tables
+//! ([`Instance::id_table`]), with no per-evaluation interning; constants,
+//! the IDB and the deltas live in a per-evaluation overlay on the
+//! instance's arena ([`Instance::overlay`]) as [`IdRelation`]s, and
+//! unification binds [`ValueId`]s — so fact dedup and (not-)membership
+//! tests cost O(arity) id compares regardless of value nesting. Results
+//! resolve back to [`Relation`]s at the boundary.
 //!
 //! Positive body literals are *index-probed*: per rule evaluation, the
 //! first literal argument whose value is already known when the literal
 //! is reached (a constant, or a variable bound by an earlier literal)
-//! keys a lazily-built hash index over the literal's relation, and only
-//! the matching group is unified. Under semi-naive evaluation this is the
-//! `HashJoin(probe=Δ)` shape `:explain` reports: each delta row's
-//! bindings probe the indexes of the later body literals. Probing is an
-//! iteration-order optimization only — the rows it skips would have
-//! failed the same id compare inside the unification loop *without
-//! consuming fuel* — so derived facts, [`EvalStats::joins`], and step
-//! accounting are bit-for-bit identical to the full-scan engine.
+//! keys the probe, and only the matching rows are unified. On a stored
+//! relation keyed by its first column the matching rows are one range of
+//! the table's canonical order, found by binary search; any other key
+//! groups row positions (stored) or rows (IDB, delta) in a hash index
+//! built lazily for the rule evaluation. Under semi-naive evaluation this
+//! is the `HashJoin(probe=Δ)` shape `:explain` reports: each delta row's
+//! bindings probe the later body literals. Probing is an iteration-order
+//! optimization only — the rows it skips would have failed the same id
+//! compare inside the unification loop *without consuming fuel* — so
+//! derived facts, [`EvalStats::joins`], and step accounting are
+//! bit-for-bit identical to the full-scan engine.
 
 use crate::program::{DTerm, Literal, Program, ProgramError, Rule};
 use minipool::ThreadPool;
 use no_object::intern::{IdRelation, Interner, ValueId};
-use no_object::{Governor, Instance, Relation};
+use no_object::{ColumnTable, Governor, Instance, Relation};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// The computed IDB: relation name → facts.
 pub type Idb = BTreeMap<String, Relation>;
 
 /// The interned IDB used internally during evaluation.
-type IdbI = BTreeMap<String, IdRelation>;
+pub(crate) type IdbI = BTreeMap<String, IdRelation>;
 
 /// Evaluation statistics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -123,6 +130,48 @@ fn partition_rows(rel: &IdRelation, parts: usize) -> Vec<IdRelation> {
     chunks
 }
 
+/// The relations rule bodies read besides the IDB being computed — the
+/// instance's stored relations as its cached id tables, and relations
+/// frozen by earlier strata — plus the overlay every other value of the
+/// evaluation is interned into.
+pub(crate) struct Edb {
+    stored: HashMap<String, Arc<ColumnTable>>,
+    /// Finished lower strata (stratified evaluation), read like stored
+    /// relations.
+    pub(crate) frozen: IdbI,
+    int: Interner,
+}
+
+impl Edb {
+    /// The stored relations of `instance` and a fresh overlay on its
+    /// arena; nothing is interned.
+    pub(crate) fn of(instance: &Instance) -> Edb {
+        Edb {
+            stored: instance
+                .schema()
+                .relations()
+                .map(|r| (r.name.clone(), instance.id_table(&r.name)))
+                .collect(),
+            frozen: IdbI::new(),
+            int: instance.overlay(),
+        }
+    }
+
+    /// Resolve interned relations back to values (the boundary).
+    pub(crate) fn resolve(&self, idb: IdbI) -> Idb {
+        idb.into_iter()
+            .map(|(name, rel)| (name, rel.to_relation(&self.int)))
+            .collect()
+    }
+
+    fn get(&self, name: &str) -> Option<Source<'_>> {
+        match self.frozen.get(name) {
+            Some(rel) => Some(Source::Derived(rel)),
+            None => self.stored.get(name).map(|t| Source::Stored(t)),
+        }
+    }
+}
+
 /// [`eval_governed`] with an explicit [`ThreadPool`]. At `threads == 1` the
 /// round loop is executed exactly as in previous releases; at higher
 /// parallelism each round's rule evaluations — and, under semi-naive, each
@@ -140,33 +189,34 @@ pub fn eval_pooled(
     pool: &ThreadPool,
 ) -> Result<(Idb, EvalStats), ProgramError> {
     program.validate(instance.schema())?;
-    let interner = Interner::new();
-    // Intern the EDB once, as input data (uncharged).
-    let edb: HashMap<String, IdRelation> = instance
-        .schema()
-        .relations()
-        .map(|r| {
-            (
-                r.name.clone(),
-                IdRelation::from_relation(&interner, instance.relation(&r.name)),
-            )
-        })
-        .collect();
-    let mut idb: IdbI = program
-        .idb
-        .keys()
-        .map(|k| (k.clone(), IdRelation::new()))
-        .collect();
-    let mut delta: IdbI = idb.clone();
+    let edb = Edb::of(instance);
+    let (idb, stats) = fixpoint(program, &edb, strategy, governor, pool)?;
+    Ok((edb.resolve(idb), stats))
+}
+
+/// The inflationary round loop of [`eval_pooled`] over an already
+/// validated program, reading `edb` and interning into its overlay.
+pub(crate) fn fixpoint(
+    program: &Program,
+    edb: &Edb,
+    strategy: Strategy,
+    governor: &Governor,
+    pool: &ThreadPool,
+) -> Result<(IdbI, EvalStats), ProgramError> {
+    let empty_idb = || -> IdbI {
+        program
+            .idb
+            .keys()
+            .map(|k| (k.clone(), IdRelation::new()))
+            .collect()
+    };
+    let mut idb = empty_idb();
+    let mut delta = empty_idb();
     let mut stats = EvalStats::default();
     loop {
         stats.rounds += 1;
         governor.check_iters("datalog.round", stats.rounds as u64)?;
-        let mut new_delta: IdbI = program
-            .idb
-            .keys()
-            .map(|k| (k.clone(), IdRelation::new()))
-            .collect();
+        let mut new_delta = empty_idb();
         let mut grew = false;
         // Build this round's task list: one task per rule under naive
         // evaluation (and in the first full round), one per delta-positive
@@ -196,22 +246,16 @@ pub fn eval_pooled(
         }
         if pool.threads() > 1 && tasks.len() > 1 {
             let results = pool.try_map(tasks, |(rule, pin)| {
-                let mut local: IdbI = program
-                    .idb
-                    .keys()
-                    .map(|k| (k.clone(), IdRelation::new()))
-                    .collect();
+                let mut local = empty_idb();
                 let mut local_stats = EvalStats::default();
-                derive(
+                let ctx = Ctx {
                     rule,
-                    &edb,
-                    &idb,
-                    pin.get(),
-                    &mut local,
-                    &mut local_stats,
+                    edb,
+                    idb: &idb,
+                    pinned: pin.get(),
                     governor,
-                    &interner,
-                )?;
+                };
+                ctx.derive(&mut local, &mut local_stats)?;
                 Ok::<(IdbI, u64), ProgramError>((local, local_stats.joins))
             })?;
             for (local, joins) in results {
@@ -224,16 +268,14 @@ pub fn eval_pooled(
             }
         } else {
             for (rule, pin) in &tasks {
-                derive(
+                let ctx = Ctx {
                     rule,
-                    &edb,
-                    &idb,
-                    pin.get(),
-                    &mut new_delta,
-                    &mut stats,
+                    edb,
+                    idb: &idb,
+                    pinned: pin.get(),
                     governor,
-                    &interner,
-                )?;
+                };
+                ctx.derive(&mut new_delta, &mut stats)?;
             }
         }
         for (name, facts) in &new_delta {
@@ -255,24 +297,48 @@ pub fn eval_pooled(
         }
     }
     stats.facts = idb.values().map(IdRelation::len).sum();
-    let resolved: Idb = idb
-        .into_iter()
-        .map(|(name, rel)| (name, rel.to_relation(&interner)))
-        .collect();
-    Ok((resolved, stats))
+    Ok((idb, stats))
 }
 
-/// A positive literal's lazily-built probe index. Which argument position
-/// keys the index depends only on the body *prefix* (the set of variables
-/// bound before a given depth is the same for every visit), so one slot
-/// per body literal suffices for a whole rule evaluation.
+/// Where a literal's rows come from: a stored relation's cached table or
+/// a relation of this evaluation (IDB, delta, frozen stratum).
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    Stored(&'a ColumnTable),
+    Derived(&'a IdRelation),
+}
+
+impl Source<'_> {
+    fn contains(&self, row: &[ValueId]) -> bool {
+        match self {
+            Source::Stored(t) => t.contains_row(row),
+            Source::Derived(rel) => rel.contains(row),
+        }
+    }
+}
+
+/// A positive literal's probe. Which argument position keys it depends
+/// only on the body *prefix* (the set of variables bound before a given
+/// depth is the same for every visit), so one slot per body literal
+/// suffices for a whole rule evaluation; indexes are scratch, never
+/// charged, like the scans they replace.
 enum Probe {
     /// Not yet decided for this rule evaluation.
     Unbuilt,
     /// No argument is known when the literal is reached: scan.
     Scan,
-    /// Rows grouped by the value at `col`; probes clone only the matching
-    /// group (O(matches), each of which is recursed into anyway).
+    /// A stored relation keyed on its first column: the matching rows are
+    /// one range of the canonical order.
+    First,
+    /// Stored row positions grouped by their id at `col`.
+    Positions {
+        /// The probed argument position.
+        col: usize,
+        /// Row positions grouped by their id at `col`.
+        groups: HashMap<ValueId, Vec<u32>>,
+    },
+    /// Derived rows grouped by their id at `col`; probes clone only the
+    /// matching group (O(matches), each of which is recursed into anyway).
     Index {
         /// The probed argument position.
         col: usize,
@@ -281,49 +347,292 @@ enum Probe {
     },
 }
 
-/// Evaluate one rule body by backtracking over literals left to right,
-/// inserting derived head facts into `out`.
-#[allow(clippy::too_many_arguments)]
-fn derive(
-    rule: &Rule,
-    edb: &HashMap<String, IdRelation>,
-    idb: &IdbI,
-    pinned: Option<(usize, &IdRelation)>,
-    out: &mut IdbI,
-    stats: &mut EvalStats,
-    governor: &Governor,
-    int: &Interner,
-) -> Result<(), ProgramError> {
-    let mut env: HashMap<String, ValueId> = HashMap::new();
-    let mut probes: Vec<Probe> = rule.body.iter().map(|_| Probe::Unbuilt).collect();
-    search(
-        rule,
-        edb,
-        idb,
-        pinned,
-        0,
-        &mut env,
-        &mut probes,
-        out,
-        stats,
-        governor,
-        int,
-    )
+impl Probe {
+    /// Decide how a literal over `src` with `args` is probed under `env`.
+    fn build(src: Source<'_>, args: &[DTerm], env: &HashMap<String, ValueId>) -> Probe {
+        let col = args.iter().position(|a| match a {
+            DTerm::Const(_) => true,
+            DTerm::Var(v) => env.contains_key(v),
+        });
+        match (col, src) {
+            (None, _) => Probe::Scan,
+            (Some(0), Source::Stored(_)) => Probe::First,
+            (Some(col), Source::Stored(t)) => {
+                let mut groups: HashMap<ValueId, Vec<u32>> = HashMap::new();
+                for (i, id) in t.col(col).iter().enumerate() {
+                    groups.entry(*id).or_default().push(i as u32);
+                }
+                Probe::Positions { col, groups }
+            }
+            (Some(col), Source::Derived(rel)) => {
+                let mut groups: HashMap<ValueId, Vec<Box<[ValueId]>>> = HashMap::new();
+                for row in rel.iter() {
+                    groups
+                        .entry(row[col])
+                        .or_default()
+                        .push(row.to_vec().into_boxed_slice());
+                }
+                Probe::Index { col, groups }
+            }
+        }
+    }
 }
 
-fn lookup_rel<'a>(
-    name: &str,
-    edb: &'a HashMap<String, IdRelation>,
+/// What one rule evaluation reads; fixed for its whole backtracking
+/// search.
+struct Ctx<'a> {
+    rule: &'a Rule,
+    edb: &'a Edb,
     idb: &'a IdbI,
-) -> Option<&'a IdRelation> {
-    idb.get(name).or_else(|| edb.get(name))
+    pinned: Option<(usize, &'a IdRelation)>,
+    governor: &'a Governor,
 }
 
-fn eval_term(t: &DTerm, env: &HashMap<String, ValueId>, int: &Interner) -> Option<ValueId> {
-    match t {
-        // hash-consed: repeated constant evaluation is a map lookup
-        DTerm::Const(c) => Some(int.intern(c)),
-        DTerm::Var(v) => env.get(v).copied(),
+/// What one rule evaluation writes as it backtracks.
+struct State<'o> {
+    env: HashMap<String, ValueId>,
+    probes: Vec<Probe>,
+    out: &'o mut IdbI,
+    stats: &'o mut EvalStats,
+}
+
+impl<'a> Ctx<'a> {
+    /// Evaluate the rule body by backtracking over literals left to
+    /// right, inserting derived head facts into `out`.
+    fn derive(&self, out: &mut IdbI, stats: &mut EvalStats) -> Result<(), ProgramError> {
+        let mut st = State {
+            env: HashMap::new(),
+            probes: self.rule.body.iter().map(|_| Probe::Unbuilt).collect(),
+            out,
+            stats,
+        };
+        self.search(0, &mut st)
+    }
+
+    fn int(&self) -> &'a Interner {
+        &self.edb.int
+    }
+
+    /// A relation by name: the IDB first, then frozen strata and stored
+    /// relations.
+    fn lookup(&self, name: &str) -> Option<Source<'a>> {
+        match self.idb.get(name) {
+            Some(rel) => Some(Source::Derived(rel)),
+            None => self.edb.get(name),
+        }
+    }
+
+    fn eval_term(&self, t: &DTerm, env: &HashMap<String, ValueId>) -> Option<ValueId> {
+        match t {
+            // hash-consed: repeated constant evaluation is a map lookup
+            DTerm::Const(c) => Some(self.int().intern(c)),
+            DTerm::Var(v) => env.get(v).copied(),
+        }
+    }
+
+    fn search(&self, depth: usize, st: &mut State<'_>) -> Result<(), ProgramError> {
+        st.stats.joins += 1;
+        self.governor.tick("datalog.search")?;
+        let rule = self.rule;
+        if depth == rule.body.len() {
+            // all literals satisfied: emit the head fact
+            let row: Option<Vec<ValueId>> = rule
+                .head_args
+                .iter()
+                .map(|t| self.eval_term(t, &st.env))
+                .collect();
+            if let Some(row) = row {
+                // one id per column; the values behind the ids were admitted
+                // to the arena (and charged, where applicable) once
+                self.governor
+                    .charge_mem("datalog.derive", 8 * row.len() as u64)?;
+                st.out
+                    .get_mut(&rule.head)
+                    .expect("declared IDB")
+                    .insert(row.into_boxed_slice());
+            }
+            return Ok(());
+        }
+        let int = self.int();
+        match &rule.body[depth] {
+            Literal::Pos(name, args) => {
+                let src = match self.pinned {
+                    Some((pos, drel)) if pos == depth => Source::Derived(drel),
+                    _ => match self.lookup(name) {
+                        Some(src) => src,
+                        None => return Ok(()),
+                    },
+                };
+                // Pre-intern constant args so unification inside the scan is
+                // pure id compares.
+                let consts: Vec<Option<ValueId>> = args
+                    .iter()
+                    .map(|a| match a {
+                        DTerm::Const(c) => Some(int.intern(c)),
+                        DTerm::Var(_) => None,
+                    })
+                    .collect();
+                if matches!(st.probes[depth], Probe::Unbuilt) {
+                    st.probes[depth] = Probe::build(src, args, &st.env);
+                }
+                let key = |col: usize, env: &HashMap<String, ValueId>| match &args[col] {
+                    DTerm::Const(_) => consts[col].expect("interned above"),
+                    DTerm::Var(v) => env[v.as_str()],
+                };
+                match (src, &st.probes[depth]) {
+                    (Source::Derived(rel), Probe::Scan) => {
+                        for row in rel.iter() {
+                            self.visit(depth, args, &consts, row, st)?;
+                        }
+                    }
+                    (Source::Derived(_), Probe::Index { col, groups }) => {
+                        let rows = groups.get(&key(*col, &st.env)).cloned();
+                        for row in rows.iter().flatten() {
+                            self.visit(depth, args, &consts, row, st)?;
+                        }
+                    }
+                    (Source::Stored(t), Probe::Positions { col, groups }) => {
+                        let rows = groups.get(&key(*col, &st.env)).cloned();
+                        let rows = rows.iter().flatten().map(|&i| i as usize);
+                        self.visit_stored(depth, args, &consts, t, rows, st)?;
+                    }
+                    (Source::Stored(t), Probe::First) => {
+                        let rows = t.rows_with_first(key(0, &st.env));
+                        self.visit_stored(depth, args, &consts, t, rows, st)?;
+                    }
+                    (Source::Stored(t), _) => {
+                        self.visit_stored(depth, args, &consts, t, 0..t.len(), st)?;
+                    }
+                    (Source::Derived(_), _) => unreachable!("probe built for a stored relation"),
+                }
+                Ok(())
+            }
+            Literal::Neg(name, args) => {
+                let row: Option<Vec<ValueId>> =
+                    args.iter().map(|t| self.eval_term(t, &st.env)).collect();
+                let Some(row) = row else { return Ok(()) };
+                let holds = self.lookup(name).is_some_and(|r| r.contains(&row));
+                if !holds {
+                    self.search(depth + 1, st)?;
+                }
+                Ok(())
+            }
+            Literal::Eq(a, b) => match (self.eval_term(a, &st.env), self.eval_term(b, &st.env)) {
+                (Some(x), Some(y)) => {
+                    if x == y {
+                        self.search(depth + 1, st)?;
+                    }
+                    Ok(())
+                }
+                (Some(x), None) => self.bind_and_continue(depth, b, x, st),
+                (None, Some(y)) => self.bind_and_continue(depth, a, y, st),
+                (None, None) => Ok(()),
+            },
+            Literal::Neq(a, b) => {
+                if let (Some(x), Some(y)) = (self.eval_term(a, &st.env), self.eval_term(b, &st.env))
+                {
+                    if x != y {
+                        self.search(depth + 1, st)?;
+                    }
+                }
+                Ok(())
+            }
+            Literal::In(a, b) => {
+                let Some(set) = self.eval_term(b, &st.env) else {
+                    return Ok(());
+                };
+                let Some(elems) = int.set_elems(set) else {
+                    return Ok(());
+                };
+                match self.eval_term(a, &st.env) {
+                    Some(x) => {
+                        if int.set_contains(elems, x) {
+                            self.search(depth + 1, st)?;
+                        }
+                        Ok(())
+                    }
+                    None => {
+                        let DTerm::Var(v) = a else { return Ok(()) };
+                        let mut result = Ok(());
+                        for &elem in elems {
+                            st.env.insert(v.clone(), elem);
+                            result = self.search(depth + 1, st);
+                            if result.is_err() {
+                                break;
+                            }
+                        }
+                        st.env.remove(v);
+                        result
+                    }
+                }
+            }
+            Literal::NotIn(a, b) => {
+                if let (Some(x), Some(set)) =
+                    (self.eval_term(a, &st.env), self.eval_term(b, &st.env))
+                {
+                    if let Some(elems) = int.set_elems(set) {
+                        if !int.set_contains(elems, x) {
+                            self.search(depth + 1, st)?;
+                        }
+                    }
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// Unify one candidate row with a positive literal and, on a match,
+    /// search the rest of the body; bindings made here are undone after.
+    fn visit(
+        &self,
+        depth: usize,
+        args: &'a [DTerm],
+        consts: &[Option<ValueId>],
+        row: &[ValueId],
+        st: &mut State<'_>,
+    ) -> Result<(), ProgramError> {
+        let (ok, bound_here) = unify(args, consts, row, &mut st.env);
+        let deeper = if ok {
+            self.search(depth + 1, st)
+        } else {
+            Ok(())
+        };
+        for v in bound_here {
+            st.env.remove(v);
+        }
+        deeper
+    }
+
+    /// [`Ctx::visit`] every row of `t` at the given positions.
+    fn visit_stored(
+        &self,
+        depth: usize,
+        args: &'a [DTerm],
+        consts: &[Option<ValueId>],
+        t: &ColumnTable,
+        rows: impl Iterator<Item = usize>,
+        st: &mut State<'_>,
+    ) -> Result<(), ProgramError> {
+        let mut row = Vec::with_capacity(t.arity());
+        for i in rows {
+            t.read_row(i, &mut row);
+            self.visit(depth, args, consts, &row, st)?;
+        }
+        Ok(())
+    }
+
+    fn bind_and_continue(
+        &self,
+        depth: usize,
+        target: &DTerm,
+        value: ValueId,
+        st: &mut State<'_>,
+    ) -> Result<(), ProgramError> {
+        let DTerm::Var(v) = target else { return Ok(()) };
+        st.env.insert(v.clone(), value);
+        let result = self.search(depth + 1, st);
+        st.env.remove(v);
+        result
     }
 }
 
@@ -361,330 +670,6 @@ fn unify<'a>(
     (true, bound_here)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn search(
-    rule: &Rule,
-    edb: &HashMap<String, IdRelation>,
-    idb: &IdbI,
-    pinned: Option<(usize, &IdRelation)>,
-    depth: usize,
-    env: &mut HashMap<String, ValueId>,
-    probes: &mut Vec<Probe>,
-    out: &mut IdbI,
-    stats: &mut EvalStats,
-    governor: &Governor,
-    int: &Interner,
-) -> Result<(), ProgramError> {
-    stats.joins += 1;
-    governor.tick("datalog.search")?;
-    if depth == rule.body.len() {
-        // all literals satisfied: emit the head fact
-        let row: Option<Vec<ValueId>> = rule
-            .head_args
-            .iter()
-            .map(|t| eval_term(t, env, int))
-            .collect();
-        if let Some(row) = row {
-            // one id per column; the values behind the ids were admitted
-            // to the arena (and charged, where applicable) once
-            governor.charge_mem("datalog.derive", 8 * row.len() as u64)?;
-            out.get_mut(&rule.head)
-                .expect("declared IDB")
-                .insert(row.into_boxed_slice());
-        }
-        return Ok(());
-    }
-    let lit = &rule.body[depth];
-    match lit {
-        Literal::Pos(name, args) => {
-            let rel = match pinned {
-                Some((pos, drel)) if pos == depth => drel,
-                _ => match lookup_rel(name, edb, idb) {
-                    Some(r) => r,
-                    None => return Ok(()),
-                },
-            };
-            // Pre-intern constant args so unification inside the scan is
-            // pure id compares.
-            let consts: Vec<Option<ValueId>> = args
-                .iter()
-                .map(|a| match a {
-                    DTerm::Const(c) => Some(int.intern(c)),
-                    DTerm::Var(_) => None,
-                })
-                .collect();
-            // Decide (once per rule evaluation) whether this literal can
-            // probe: the first argument whose value is known here keys a
-            // hash index over the relation. Scratch only — never charged,
-            // like the scans it replaces.
-            if matches!(probes[depth], Probe::Unbuilt) {
-                let col = args.iter().position(|a| match a {
-                    DTerm::Const(_) => true,
-                    DTerm::Var(v) => env.contains_key(v),
-                });
-                probes[depth] = match col {
-                    None => Probe::Scan,
-                    Some(col) => {
-                        let mut groups: HashMap<ValueId, Vec<Box<[ValueId]>>> = HashMap::new();
-                        for row in rel.iter() {
-                            groups
-                                .entry(row[col])
-                                .or_default()
-                                .push(row.to_vec().into_boxed_slice());
-                        }
-                        Probe::Index { col, groups }
-                    }
-                };
-            }
-            let probed: Option<Vec<Box<[ValueId]>>> = match &probes[depth] {
-                Probe::Scan => None,
-                Probe::Index { col, groups } => {
-                    let key = match &args[*col] {
-                        DTerm::Const(_) => consts[*col].expect("interned above"),
-                        DTerm::Var(v) => env[v.as_str()],
-                    };
-                    Some(groups.get(&key).cloned().unwrap_or_default())
-                }
-                Probe::Unbuilt => unreachable!("decided above"),
-            };
-            match probed {
-                Some(rows) => {
-                    for row in &rows {
-                        let (ok, bound_here) = unify(args, &consts, row, env);
-                        let deeper = if ok {
-                            search(
-                                rule,
-                                edb,
-                                idb,
-                                pinned,
-                                depth + 1,
-                                env,
-                                probes,
-                                out,
-                                stats,
-                                governor,
-                                int,
-                            )
-                        } else {
-                            Ok(())
-                        };
-                        for v in bound_here {
-                            env.remove(v);
-                        }
-                        deeper?;
-                    }
-                }
-                None => {
-                    for row in rel.iter() {
-                        let (ok, bound_here) = unify(args, &consts, row, env);
-                        let deeper = if ok {
-                            search(
-                                rule,
-                                edb,
-                                idb,
-                                pinned,
-                                depth + 1,
-                                env,
-                                probes,
-                                out,
-                                stats,
-                                governor,
-                                int,
-                            )
-                        } else {
-                            Ok(())
-                        };
-                        for v in bound_here {
-                            env.remove(v);
-                        }
-                        deeper?;
-                    }
-                }
-            }
-            Ok(())
-        }
-        Literal::Neg(name, args) => {
-            let row: Option<Vec<ValueId>> = args.iter().map(|t| eval_term(t, env, int)).collect();
-            let Some(row) = row else { return Ok(()) };
-            let holds = lookup_rel(name, edb, idb)
-                .map(|r| r.contains(&row))
-                .unwrap_or(false);
-            if !holds {
-                search(
-                    rule,
-                    edb,
-                    idb,
-                    pinned,
-                    depth + 1,
-                    env,
-                    probes,
-                    out,
-                    stats,
-                    governor,
-                    int,
-                )?;
-            }
-            Ok(())
-        }
-        Literal::Eq(a, b) => match (eval_term(a, env, int), eval_term(b, env, int)) {
-            (Some(x), Some(y)) => {
-                if x == y {
-                    search(
-                        rule,
-                        edb,
-                        idb,
-                        pinned,
-                        depth + 1,
-                        env,
-                        probes,
-                        out,
-                        stats,
-                        governor,
-                        int,
-                    )?;
-                }
-                Ok(())
-            }
-            (Some(x), None) => bind_and_continue(
-                rule, edb, idb, pinned, depth, env, probes, out, stats, governor, int, b, x,
-            ),
-            (None, Some(y)) => bind_and_continue(
-                rule, edb, idb, pinned, depth, env, probes, out, stats, governor, int, a, y,
-            ),
-            (None, None) => Ok(()),
-        },
-        Literal::Neq(a, b) => {
-            if let (Some(x), Some(y)) = (eval_term(a, env, int), eval_term(b, env, int)) {
-                if x != y {
-                    search(
-                        rule,
-                        edb,
-                        idb,
-                        pinned,
-                        depth + 1,
-                        env,
-                        probes,
-                        out,
-                        stats,
-                        governor,
-                        int,
-                    )?;
-                }
-            }
-            Ok(())
-        }
-        Literal::In(a, b) => {
-            let Some(set) = eval_term(b, env, int) else {
-                return Ok(());
-            };
-            let Some(elems) = int.set_elems(set).map(<[ValueId]>::to_vec) else {
-                return Ok(());
-            };
-            match eval_term(a, env, int) {
-                Some(x) => {
-                    if int.set_contains(&elems, x) {
-                        search(
-                            rule,
-                            edb,
-                            idb,
-                            pinned,
-                            depth + 1,
-                            env,
-                            probes,
-                            out,
-                            stats,
-                            governor,
-                            int,
-                        )?;
-                    }
-                    Ok(())
-                }
-                None => {
-                    let DTerm::Var(v) = a else { return Ok(()) };
-                    let mut result = Ok(());
-                    for elem in elems {
-                        env.insert(v.clone(), elem);
-                        result = search(
-                            rule,
-                            edb,
-                            idb,
-                            pinned,
-                            depth + 1,
-                            env,
-                            probes,
-                            out,
-                            stats,
-                            governor,
-                            int,
-                        );
-                        if result.is_err() {
-                            break;
-                        }
-                    }
-                    env.remove(v);
-                    result
-                }
-            }
-        }
-        Literal::NotIn(a, b) => {
-            if let (Some(x), Some(set)) = (eval_term(a, env, int), eval_term(b, env, int)) {
-                if let Some(elems) = int.set_elems(set) {
-                    if !int.set_contains(elems, x) {
-                        search(
-                            rule,
-                            edb,
-                            idb,
-                            pinned,
-                            depth + 1,
-                            env,
-                            probes,
-                            out,
-                            stats,
-                            governor,
-                            int,
-                        )?;
-                    }
-                }
-            }
-            Ok(())
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn bind_and_continue(
-    rule: &Rule,
-    edb: &HashMap<String, IdRelation>,
-    idb: &IdbI,
-    pinned: Option<(usize, &IdRelation)>,
-    depth: usize,
-    env: &mut HashMap<String, ValueId>,
-    probes: &mut Vec<Probe>,
-    out: &mut IdbI,
-    stats: &mut EvalStats,
-    governor: &Governor,
-    int: &Interner,
-    target: &DTerm,
-    value: ValueId,
-) -> Result<(), ProgramError> {
-    let DTerm::Var(v) = target else { return Ok(()) };
-    env.insert(v.clone(), value);
-    let result = search(
-        rule,
-        edb,
-        idb,
-        pinned,
-        depth + 1,
-        env,
-        probes,
-        out,
-        stats,
-        governor,
-        int,
-    );
-    env.remove(v);
-    result
-}
 #[cfg(test)]
 mod tests {
     use super::*;

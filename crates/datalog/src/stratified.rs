@@ -11,7 +11,7 @@
 //! example), which is exactly why the paper is explicit about using the
 //! inflationary one for its `CALC+IFP` correspondence.
 
-use crate::eval::{Idb, Strategy};
+use crate::eval::{fixpoint, Edb, Idb, Strategy};
 use crate::program::{Literal, Program, ProgramError};
 use no_object::{Governor, Instance};
 use std::collections::BTreeMap;
@@ -130,7 +130,7 @@ pub fn eval_stratified_governed(
 }
 
 /// [`eval_stratified_governed`] with an explicit [`minipool::ThreadPool`]:
-/// each stratum's inflationary fixpoint runs through
+/// each stratum's inflationary fixpoint runs on the round loop of
 /// [`crate::eval::eval_pooled`], so rule evaluation inside every stratum
 /// fans out over the pool (strata themselves stay sequential — each one
 /// negates over the previous ones, a hard dependency).
@@ -143,11 +143,11 @@ pub fn eval_stratified_pooled(
     program.validate(instance.schema())?;
     let strata = stratify(program)?;
     // Evaluate one stratum at a time. Lower strata are *frozen*: their
-    // computed relations are materialised into an extended instance as
-    // ordinary EDB relations, so the current stratum's negation only ever
-    // consults finished relations — the perfect-model guarantee.
-    let mut computed: Idb = Idb::new();
-    let mut frozen = instance.clone();
+    // computed relations join the stored ones as read-only relations, so
+    // the current stratum's negation only ever consults finished
+    // relations — the perfect-model guarantee. Every stratum reads the
+    // instance's cached tables and interns into one overlay.
+    let mut edb = Edb::of(instance);
     for layer in &strata {
         let mut sub = Program::new();
         for name in layer {
@@ -161,26 +161,12 @@ pub fn eval_stratified_pooled(
         governor
             .checkpoint("datalog.stratum")
             .map_err(|e| StratifyError::Program(ProgramError::Resource(e)))?;
-        let (idb, _) = crate::eval::eval_pooled(&sub, &frozen, Strategy::SemiNaive, governor, pool)
+        let (idb, _) = fixpoint(&sub, &edb, Strategy::SemiNaive, governor, pool)
             .map_err(StratifyError::Program)?;
-        // freeze this stratum's results into the instance for the next one
-        let mut schema = frozen.schema().clone();
-        for name in layer {
-            schema.add(no_object::RelationSchema::new(
-                name.clone(),
-                program.idb[name].clone(),
-            ));
-        }
-        let mut next = Instance::empty(schema);
-        for rel in frozen.schema().relations() {
-            next.set_relation(&rel.name, frozen.relation(&rel.name).clone());
-        }
-        for (name, rel) in &idb {
-            next.set_relation(name, rel.clone());
-        }
-        frozen = next;
-        computed.extend(idb);
+        edb.frozen.extend(idb);
     }
+    let frozen = std::mem::take(&mut edb.frozen);
+    let mut computed = edb.resolve(frozen);
     // ensure all declared IDBs appear (empty when no rule derives them)
     for name in program.idb.keys() {
         computed.entry(name.clone()).or_default();

@@ -15,9 +15,9 @@
 //!   independent of thread count — the property `tests/exec_differential.rs`
 //!   fuzzes.
 //! * **Intern once per instance.** Scans read the canonical id tables the
-//!   [`no_object::Instance`] caches (interned on a relation's first use,
-//!   dropped by any mutation), and each execution interns its constants
-//!   into that same arena; workers only read ids. Raw-id order is an
+//!   [`no_object::Instance`] caches (interned on first use, dropped by
+//!   any mutation), and each execution interns its constants into its own
+//!   overlay on that arena; workers only read ids. Raw-id order is an
 //!   internal device that never escapes into results, and no governor
 //!   charge depends on whether a table was cached.
 //! * **Block-batched metering.** Governor charges accumulate locally and

@@ -4,8 +4,9 @@
 //! CALC queries and flat algebra expressions to. It is built once per
 //! (query, schema) and executed many times: [`execute`] takes the scanned
 //! base relations from the instance's cached id tables
-//! ([`Instance::id_table`]), interns the plan constants into the same
-//! arena, evaluates the arena bottom-up with the kernels of
+//! ([`Instance::id_table`]), interns the plan constants into a
+//! per-execution overlay on the instance's arena ([`Instance::overlay`]),
+//! evaluates the arena bottom-up with the kernels of
 //! [`crate::kernels`], and resolves the root back to a value-level
 //! [`Relation`].
 //!
@@ -160,7 +161,7 @@ pub fn execute(
     pool: &ThreadPool,
 ) -> Result<Relation, ResourceError> {
     governor.checkpoint("exec.start")?;
-    let int = instance.interner();
+    let int = instance.overlay();
     let mut scans: HashMap<&str, Arc<ColumnTable>> = HashMap::new();
     let mut slots: Vec<Arc<ColumnTable>> = Vec::with_capacity(plan.nodes.len());
 

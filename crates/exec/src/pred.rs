@@ -5,8 +5,8 @@
 //! connectives) but over **0-based** columns and carrying constants as
 //! plain values: an execution plan is built once and executed against
 //! many instances, so constants are interned per execution by
-//! [`RowPred::compile`] into the instance's arena, after which evaluation
-//! is pure id work.
+//! [`RowPred::compile`] into the execution's overlay on the instance's
+//! arena, after which evaluation is pure id work.
 
 use no_object::{ColumnTable, Interner, Value, ValueId};
 

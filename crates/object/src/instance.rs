@@ -9,26 +9,32 @@
 //!
 //! # The interned form
 //!
-//! Every instance carries a lazily built interned copy of itself: one
-//! [`Interner`] arena, the canonical [`ColumnTable`] of each relation
-//! (built on the relation's first use) with its exact per-column distinct
-//! counts (on first request), and the atom set `atom(I)`. The columnar executor scans from it,
-//! the planner's statistics read from it, and [`Instance::atoms`] is
-//! served from it, so a read-only workload interns the database once
-//! instead of once per request. Every `&mut self` mutator that changes
-//! the data drops it; since the relations are private and only those
-//! mutators reach them, a cached table can never describe stale rows.
-//! Equality and `Clone` ignore it (a clone starts cold).
+//! Every instance carries a lazily built interned copy of itself: a
+//! sealed [`BaseLayer`] arena holding every value of every relation, the
+//! canonical [`ColumnTable`] of each relation over it with its exact
+//! per-column distinct counts, and the atom set `atom(I)`. All of it is
+//! built in one step, on the first use of any piece, and the base is
+//! never written again: every engine reads the tables and
+//! interns whatever else a request needs (constants, derived values) into
+//! its own throwaway overlay from [`Instance::overlay`], which resolves
+//! the tables' ids and is dropped with the request. The planner's
+//! statistics and [`Instance::atoms`] are served from the same cache, so
+//! a read-only workload interns the database once instead of once per
+//! request. Every `&mut self` mutator that changes the data drops it;
+//! since the relations are private and only those mutators reach them, a
+//! cached table can never describe stale rows. Equality and `Clone`
+//! ignore it (a clone starts cold).
 //!
-//! Concurrent readers of one instance race to fill the cache through the
-//! `conc` mutex shims: the first builds each piece while the others wait
-//! for it, so there is at most one interned copy. Lock order is the
-//! outer cache slot, released before a piece's slot is taken, and then
-//! the interner's shard locks, which the build takes while holding the
-//! piece's slot; nothing takes a cache slot while holding a shard lock.
+//! Concurrent readers of one instance race to fill the cache through a
+//! `conc` mutex shim: the first builds it while the others wait, so there
+//! is at most one interned copy. Lock order is the cache slot, then the
+//! base arena's shard locks, which the build takes while holding it;
+//! nothing takes the cache slot while holding a shard lock. Overlays
+//! never lock the base: sealing moves its hash-consing maps out of the
+//! shard locks.
 
 use crate::atom::Atom;
-use crate::intern::Interner;
+use crate::intern::{BaseLayer, Interner};
 use crate::table::ColumnTable;
 use crate::types::Type;
 use crate::value::Value;
@@ -251,16 +257,24 @@ impl<T> Slot<T> {
 
 /// The interned form of one instance (see the module docs).
 struct Interned {
-    interner: Interner,
-    atoms: Slot<BTreeSet<Atom>>,
-    tables: BTreeMap<String, Slot<IdTable>>,
+    base: BaseLayer,
+    tables: BTreeMap<String, IdTable>,
+    atoms: BTreeSet<Atom>,
 }
 
-/// One relation's canonical id table and, once asked for, its exact
-/// per-column distinct counts (the executor never needs them).
+impl Interned {
+    fn table(&self, name: &str) -> &IdTable {
+        self.tables
+            .get(name)
+            .unwrap_or_else(|| panic!("relation {name:?} not in schema"))
+    }
+}
+
+/// One relation's canonical id table and its exact per-column distinct
+/// counts.
 struct IdTable {
     table: Arc<ColumnTable>,
-    distinct: Slot<Vec<u64>>,
+    distinct: Vec<u64>,
 }
 
 /// A database instance over a [`Schema`].
@@ -382,58 +396,69 @@ impl Instance {
         self.interned.clear();
     }
 
+    /// The interned form, built in full (every relation's table over one
+    /// arena, then sealed) by the first caller.
     fn interned(&self) -> Arc<Interned> {
-        self.interned.get_or_init(|| Interned {
-            interner: Interner::new(),
-            atoms: Slot::new("instance.interned.atoms"),
-            tables: self
-                .relations
-                .keys()
-                .map(|name| (name.clone(), Slot::new("instance.interned.table")))
-                .collect(),
+        self.interned.get_or_init(|| {
+            let interner = Interner::new();
+            let mut atoms = BTreeSet::new();
+            let mut ids = Vec::new();
+            let tables = self
+                .schema
+                .relations()
+                .map(|r| {
+                    let mut table = ColumnTable::empty(r.arity());
+                    for row in self.relation(&r.name).iter() {
+                        ids.clear();
+                        for v in row {
+                            v.collect_atoms(&mut atoms);
+                            ids.push(interner.intern(v));
+                        }
+                        table.push_row(&ids);
+                    }
+                    table.canonicalize();
+                    let distinct = (0..table.arity())
+                        .map(|c| table.distinct(c) as u64)
+                        .collect();
+                    let table = Arc::new(table);
+                    (r.name.clone(), IdTable { table, distinct })
+                })
+                .collect();
+            Interned {
+                base: interner.seal(),
+                tables,
+                atoms,
+            }
         })
     }
 
     /// `atom(I)`: the set of atomic constants occurring in the instance
     /// (a copy of the cached set).
     pub fn atoms(&self) -> BTreeSet<Atom> {
-        self.cached_atoms().as_ref().clone()
+        self.interned().atoms.clone()
     }
 
     /// `|atom(I)|`, the active-domain size, without copying the set.
     pub fn atom_count(&self) -> usize {
-        self.cached_atoms().len()
+        self.interned().atoms.len()
     }
 
-    fn cached_atoms(&self) -> Arc<BTreeSet<Atom>> {
-        self.interned().atoms.get_or_init(|| {
-            let mut out = BTreeSet::new();
-            for rel in self.relations.values() {
-                for row in rel.iter() {
-                    for v in row {
-                        v.collect_atoms(&mut out);
-                    }
-                }
-            }
-            out
-        })
+    /// A fresh interner stacked on the instance's sealed base: it resolves
+    /// the ids of [`Instance::id_table`] and interns anything else a
+    /// request needs without touching the instance. Values the instance
+    /// holds keep their table ids, so constants compare with scanned ids
+    /// directly.
+    pub fn overlay(&self) -> Interner {
+        self.interned().base.overlay()
     }
 
-    /// The arena the cached id tables live in. Ids from
-    /// [`Instance::id_table`] belong to it for as long as the instance
-    /// is borrowed; intern constants into it to compare them with scanned
-    /// ids.
-    pub fn interner(&self) -> Interner {
-        self.interned().interner.clone()
-    }
-
-    /// The canonical id table of a relation, interned into
-    /// [`Instance::interner`] on first use.
+    /// The canonical id table of a relation over the instance's base
+    /// arena (read its ids through an [`Instance::overlay`]).
     ///
     /// # Panics
     /// Panics on an unknown relation name, like every schema mismatch.
     pub fn id_table(&self, name: &str) -> Arc<ColumnTable> {
-        Arc::clone(&self.cached_table(name).table)
+        Arc::clone(&self.interned().table(name).table)
     }
 
     /// Exact distinct values per column of a relation (hash-consing makes
@@ -442,38 +467,7 @@ impl Instance {
     /// # Panics
     /// Panics on an unknown relation name, like every schema mismatch.
     pub fn distinct_counts(&self, name: &str) -> Vec<u64> {
-        let cached = self.cached_table(name);
-        let table = &cached.table;
-        let counts = cached.distinct.get_or_init(|| {
-            (0..table.arity())
-                .map(|c| table.distinct(c) as u64)
-                .collect()
-        });
-        counts.to_vec()
-    }
-
-    fn cached_table(&self, name: &str) -> Arc<IdTable> {
-        let interned = self.interned();
-        let slot = interned
-            .tables
-            .get(name)
-            .unwrap_or_else(|| panic!("relation {name:?} not in schema"));
-        slot.get_or_init(|| {
-            let arity = self.schema.get(name).map_or(0, RelationSchema::arity);
-            let rel = self.relation(name);
-            let mut table = ColumnTable::empty(arity);
-            let mut ids = Vec::with_capacity(arity);
-            for row in rel.iter() {
-                ids.clear();
-                ids.extend(row.iter().map(|v| interned.interner.intern(v)));
-                table.push_row(&ids);
-            }
-            table.canonicalize();
-            IdTable {
-                table: Arc::new(table),
-                distinct: Slot::new("instance.interned.distinct"),
-            }
-        })
+        self.interned().table(name).distinct.clone()
     }
 
     /// `|I|`: the cardinality — total number of tuples across relations.

@@ -62,6 +62,31 @@
 //! admissions to this call, so the interning entry points come in
 //! `*_with_growth` variants returning exactly the bytes *this* call
 //! admitted ([`Interner::intern_charged`] is built on them).
+//!
+//! # Layers
+//!
+//! An arena can be sealed into a read-only [`BaseLayer`]
+//! ([`Interner::seal`]); [`BaseLayer::overlay`] then hands out throwaway
+//! interners stacked on it. This is how an [`Instance`] shares its
+//! interned form with every request without letting requests write to
+//! it: the instance interns its relations into one arena, seals it, and
+//! each request interns its own constants and results into a fresh
+//! overlay that is dropped with the request.
+//!
+//! A [`ValueId`] carries a layer bit. Ids of the base have it clear, ids
+//! of an overlay have it set, and an id resolves against the layer its
+//! bit names. Admission looks the node up in the base first and only
+//! admits it to the overlay on a miss, so a value the base holds always
+//! keeps its base id and hash-consing stays exact across the two layers:
+//! `id(a) == id(b) ⟺ a == b` for ids of one overlay and its base. The
+//! base is complete before any overlay exists and is never written again;
+//! its hash-consing maps move out of their shard locks when it is sealed,
+//! so base lookups take no lock at all. An overlay's
+//! [`len`](Interner::len), [`bytes`](Interner::bytes) and `*_with_growth`
+//! figures count only its own admissions, which is exactly "growth =
+//! not already in the instance".
+//!
+//! [`Instance`]: crate::Instance
 
 use crate::atom::Atom;
 use crate::governor::{Governor, ResourceError};
@@ -82,14 +107,16 @@ use std::sync::Arc;
 pub const NUM_SHARDS: usize = 1 << SHARD_BITS;
 
 const SHARD_BITS: u32 = 4;
-const SLOT_BITS: u32 = 32 - SHARD_BITS;
+/// The top bit of a [`ValueId`]: set for ids admitted by an overlay.
+const OVERLAY_BIT: u32 = 1 << 31;
+const SLOT_BITS: u32 = 31 - SHARD_BITS;
 const SLOT_MASK: u32 = (1 << SLOT_BITS) - 1;
 
 /// log2 of the first segment's capacity; segment `s` holds `256 << s`
 /// nodes, so capacity doubles per segment and `NSEGS` segments cover the
 /// full `2^SLOT_BITS` slot space of a shard.
 const CHUNK_BITS: u32 = 8;
-const NSEGS: usize = 21;
+const NSEGS: usize = 20;
 
 /// Capacity of segment `s`.
 fn seg_cap(s: usize) -> usize {
@@ -110,19 +137,20 @@ fn seg_of(slot: u32) -> (usize, usize) {
 
 /// A handle to an interned value: cheap to copy, O(1) equality and hash.
 ///
-/// The high [`SHARD_BITS`](NUM_SHARDS) bits select the arena shard, the
-/// rest the within-shard slot. Deliberately **not** `Ord`: raw id order is
-/// admission order (and shard hash), not the structural order on values.
-/// Use [`Interner::cmp`] for the structural comparison (it agrees with
+/// The top bit names the layer (set for an overlay's ids, see the module
+/// docs), the next [`SHARD_BITS`](NUM_SHARDS) bits select the arena
+/// shard, the rest the within-shard slot. Deliberately **not** `Ord`: raw
+/// id order is admission order (and shard hash), not the structural
+/// order on values. Use [`Interner::cmp`] for the structural comparison (it agrees with
 /// `Value`'s derived `Ord`), or [`crate::order`] for the paper's semantic
 /// order `<_T`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ValueId(u32);
 
 impl ValueId {
-    /// The raw packed handle (shard bits ∥ slot bits) as an index-like
-    /// integer. Opaque: useful only as a dense-ish map key or for
-    /// diagnostics.
+    /// The raw packed handle (layer bit ∥ shard bits ∥ slot bits) as an
+    /// index-like integer. Opaque: useful only as a dense-ish map key or
+    /// for diagnostics. Every base id is smaller than every overlay id.
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -130,16 +158,20 @@ impl ValueId {
     /// The arena shard this id lives in (diagnostic; property tests use it
     /// to assert cross-shard coverage).
     pub fn shard(self) -> usize {
-        (self.0 >> SLOT_BITS) as usize
+        ((self.0 & !OVERLAY_BIT) >> SLOT_BITS) as usize
     }
 
     fn slot(self) -> u32 {
         self.0 & SLOT_MASK
     }
 
-    fn pack(shard: usize, slot: u32) -> ValueId {
+    fn in_overlay(self) -> bool {
+        self.0 & OVERLAY_BIT != 0
+    }
+
+    fn pack(layer: u32, shard: usize, slot: u32) -> ValueId {
         debug_assert!(shard < NUM_SHARDS && slot <= SLOT_MASK);
-        ValueId(((shard as u32) << SLOT_BITS) | slot)
+        ValueId(layer | ((shard as u32) << SLOT_BITS) | slot)
     }
 }
 
@@ -199,9 +231,9 @@ struct Shard {
 }
 
 impl Shard {
-    fn new() -> Self {
+    fn new(class: &'static str) -> Self {
         Shard {
-            writer: Mutex::new_named("intern.shard_writer", ShardWriter::default()),
+            writer: Mutex::new_named(class, ShardWriter::default()),
             segs: std::array::from_fn(|_| AtomicPtr::new(ptr::null_mut())),
             len: AtomicU32::new(0),
         }
@@ -282,6 +314,37 @@ struct ArenaInner {
     /// Approximate footprint; relaxed because it is a monotone statistic,
     /// not a synchronisation channel.
     bytes: AtomicU64,
+    /// [`OVERLAY_BIT`] for an overlay's arena, 0 otherwise: or-ed into
+    /// every id this arena issues.
+    layer: u32,
+    /// A sealed base's hash-consing maps, one per shard, moved out of the
+    /// shard locks by [`Interner::seal`] so lookups take no lock. Empty
+    /// while the arena is writable.
+    sealed: Vec<HashMap<Node, u32>>,
+}
+
+impl ArenaInner {
+    fn new(layer: u32) -> Self {
+        let class = if layer == 0 {
+            "intern.shard_writer"
+        } else {
+            "intern.overlay_writer"
+        };
+        ArenaInner {
+            shards: std::array::from_fn(|_| Shard::new(class)),
+            bytes: AtomicU64::new(0),
+            layer,
+            sealed: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.shards.iter().map(|s| s.len() as usize).sum()
+    }
+
+    fn node(&self, id: ValueId) -> &Node {
+        self.shards[id.shard()].node(id.slot())
+    }
 }
 
 // SAFETY: `Shard` owns raw segment pointers, which disables the auto
@@ -290,30 +353,34 @@ struct ArenaInner {
 // `Release` store that publishes their slot, and are never moved or
 // dropped until the arena itself drops (which requires exclusive access).
 // Readers only dereference slots whose ids they hold, and an id reaches
-// another thread only through some synchronising transfer. `Node` itself
-// is `Send + Sync` (atoms and boxed id slices).
+// another thread only through some synchronising transfer. The `sealed`
+// maps are written once, under exclusive access (`Interner::seal`), and
+// only read afterwards. `Node` itself is `Send + Sync` (atoms and boxed
+// id slices).
 unsafe impl Send for ArenaInner {}
 unsafe impl Sync for ArenaInner {}
 
 /// A hash-consing arena for complex-object values.
 ///
 /// The arena only grows; ids are valid for the lifetime of the interner
-/// that issued them and must not be mixed across interners. `Interner` is
+/// that issued them and must not be mixed across interners (an overlay
+/// and its base count as one, see the module docs). `Interner` is
 /// a shared handle (`Clone` is O(1)) and all interning methods take
 /// `&self` — it is safe to intern from many threads concurrently (see the
 /// module docs for the sharding scheme).
 #[derive(Clone)]
 pub struct Interner {
+    /// Where new nodes are admitted.
     arena: Arc<ArenaInner>,
+    /// The sealed layer below, for an overlay.
+    base: Option<Arc<ArenaInner>>,
 }
 
 impl Default for Interner {
     fn default() -> Self {
         Interner {
-            arena: Arc::new(ArenaInner {
-                shards: std::array::from_fn(|_| Shard::new()),
-                bytes: AtomicU64::new(0),
-            }),
+            arena: Arc::new(ArenaInner::new(0)),
+            base: None,
         }
     }
 }
@@ -323,6 +390,43 @@ impl fmt::Debug for Interner {
         f.debug_struct("Interner")
             .field("len", &self.len())
             .field("bytes", &self.bytes())
+            .field("base_len", &self.base_len())
+            .finish()
+    }
+}
+
+/// A sealed, read-only arena: the lower layer of any number of overlay
+/// [`Interner`]s (see the module docs). Cloning shares it.
+#[derive(Clone)]
+pub struct BaseLayer {
+    arena: Arc<ArenaInner>,
+}
+
+impl BaseLayer {
+    /// A fresh, empty interner stacked on this base: it resolves base ids
+    /// and admits only values the base does not hold.
+    pub fn overlay(&self) -> Interner {
+        Interner {
+            arena: Arc::new(ArenaInner::new(OVERLAY_BIT)),
+            base: Some(Arc::clone(&self.arena)),
+        }
+    }
+
+    /// Number of nodes in the base.
+    pub fn len(&self) -> usize {
+        self.arena.len()
+    }
+
+    /// True iff the base holds no node.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl fmt::Debug for BaseLayer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BaseLayer")
+            .field("len", &self.len())
             .finish()
     }
 }
@@ -333,13 +437,27 @@ impl Interner {
         Interner::default()
     }
 
-    /// Number of distinct nodes admitted so far (across all shards).
-    pub fn len(&self) -> usize {
-        self.arena
+    /// Seal this arena into a read-only [`BaseLayer`].
+    ///
+    /// # Panics
+    /// Panics if another handle to the arena is alive (a clone could
+    /// still write to it) or if this interner is itself an overlay.
+    pub fn seal(self) -> BaseLayer {
+        assert!(self.base.is_none(), "an overlay cannot be sealed");
+        let mut arena = self.arena;
+        let inner = Arc::get_mut(&mut arena).expect("seal needs the only handle to the arena");
+        inner.sealed = inner
             .shards
-            .iter()
-            .map(|s| s.len() as usize)
-            .sum::<usize>()
+            .iter_mut()
+            .map(|shard| std::mem::take(&mut shard.writer.get_mut().ids))
+            .collect();
+        BaseLayer { arena }
+    }
+
+    /// Number of distinct nodes this interner admitted (across all
+    /// shards; an overlay does not count its base).
+    pub fn len(&self) -> usize {
+        self.arena.len()
     }
 
     /// True iff nothing has been interned.
@@ -347,23 +465,38 @@ impl Interner {
         self.len() == 0
     }
 
+    /// Number of nodes in the base below an overlay (0 for a plain
+    /// arena).
+    pub fn base_len(&self) -> usize {
+        self.base.as_ref().map_or(0, |b| b.len())
+    }
+
     /// Approximate arena footprint in bytes. Grows monotonically, and only
-    /// when a structurally new node is admitted.
+    /// when a structurally new node is admitted (an overlay counts only
+    /// its own admissions).
     pub fn bytes(&self) -> u64 {
         self.arena.bytes.load(AtomicOrdering::Relaxed)
     }
 
     fn node(&self, id: ValueId) -> &Node {
-        self.arena.shards[id.shard()].node(id.slot())
+        match &self.base {
+            Some(base) if !id.in_overlay() => base.node(id),
+            _ => self.arena.node(id),
+        }
     }
 
     fn add_with_growth(&self, node: Node) -> (ValueId, u64) {
         let shard = shard_of(&node);
+        if let Some(base) = &self.base {
+            if let Some(&slot) = base.sealed[shard].get(&node) {
+                return (ValueId::pack(0, shard, slot), 0);
+            }
+        }
         let (slot, grown) = self.arena.shards[shard].add(node);
         if grown > 0 {
             self.arena.bytes.fetch_add(grown, AtomicOrdering::Relaxed);
         }
-        (ValueId::pack(shard, slot), grown)
+        (ValueId::pack(self.arena.layer, shard, slot), grown)
     }
 
     fn add(&self, node: Node) -> ValueId {
@@ -651,13 +784,6 @@ impl IdRelation {
         IdRelation::default()
     }
 
-    /// Intern every row of a value-level relation.
-    pub fn from_relation(interner: &Interner, rel: &Relation) -> Self {
-        IdRelation {
-            rows: rel.iter().map(|row| interner.intern_row(row)).collect(),
-        }
-    }
-
     /// Resolve back to a value-level relation (the boundary conversion).
     pub fn to_relation(&self, interner: &Interner) -> Relation {
         Relation::from_rows(self.rows.iter().map(|row| interner.resolve_row(row)))
@@ -895,7 +1021,7 @@ mod tests {
             vec![a(0), Value::set([a(1), a(2)])],
             vec![a(1), Value::set([a(2), a(1)])],
         ]);
-        let idr = IdRelation::from_relation(&int, &rel);
+        let idr: IdRelation = rel.iter().map(|row| int.intern_row(row)).collect();
         assert_eq!(idr.len(), 2);
         assert_eq!(idr.to_relation(&int), rel);
 
@@ -1005,6 +1131,60 @@ mod tests {
         for (v, id) in vals.iter().zip(&ids[0]) {
             assert_eq!(&int.resolve(*id), v);
         }
+    }
+
+    #[test]
+    fn overlay_keeps_base_ids_and_admits_only_new_values() {
+        let base = Interner::new();
+        let known = Value::tuple([a(1), Value::set([a(2), a(3)])]);
+        let known_id = base.intern(&known);
+        let base_nodes = base.len();
+        let sealed = base.seal();
+        assert_eq!(sealed.len(), base_nodes);
+
+        let ov = sealed.overlay();
+        assert_eq!(ov.base_len(), base_nodes);
+        let (id, grown) = ov.intern_with_growth(&known);
+        assert_eq!((id, grown), (known_id, 0), "a base value keeps its base id");
+        assert_eq!(ov.len(), 0);
+        assert_eq!(ov.bytes(), 0);
+
+        // a new value over base children: admitted to the overlay only
+        let fresh = Value::set([a(9), Value::set([a(2), a(3)]), a(1)]);
+        let (fid, fgrown) = ov.intern_with_growth(&fresh);
+        assert!(fgrown > 0);
+        assert_eq!(ov.bytes(), fgrown);
+        assert_eq!(ov.resolve(fid), fresh);
+        assert_eq!(ov.intern(&fresh), fid);
+        assert_eq!(sealed.len(), base_nodes, "the base is never written");
+
+        // the structural order agrees with `Value`'s across the layers
+        let vals = [
+            a(1),
+            a(9),
+            known.clone(),
+            fresh.clone(),
+            Value::set([a(2), a(3)]),
+        ];
+        for x in &vals {
+            for y in &vals {
+                assert_eq!(ov.cmp(ov.intern(x), ov.intern(y)), x.cmp(y), "{x} vs {y}");
+            }
+        }
+
+        // a second overlay is independent of the first
+        let other = sealed.overlay();
+        assert_eq!(other.len(), 0);
+        assert_eq!(other.intern(&known), known_id);
+        assert_eq!(other.resolve(other.intern(&fresh)), fresh);
+    }
+
+    #[test]
+    #[should_panic(expected = "only handle")]
+    fn sealing_a_shared_arena_panics() {
+        let int = Interner::new();
+        let _other = int.clone();
+        int.seal();
     }
 
     #[test]

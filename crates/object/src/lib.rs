@@ -14,7 +14,8 @@
 //! * [`instance`] — schemas, relations, instances, `|I|` vs `‖I‖`, and
 //!   each instance's lazily built interned form;
 //! * [`intern`] — the hash-consing arena giving every canonical value a
-//!   [`ValueId`] with O(1) equality, shared by all engine hot paths;
+//!   [`ValueId`] with O(1) equality, shared by all engine hot paths, and
+//!   its two layers: a sealed per-instance base and per-request overlays;
 //! * [`table`] — column-major canonical relations over interned ids, the
 //!   storage of the columnar executor and of the interned form;
 //! * [`encoding`] — the standard TM-tape encoding of Figure 2, with a

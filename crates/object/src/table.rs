@@ -10,7 +10,9 @@
 //! what lets the differential fuzzer compare hash/merge/nested-loop
 //! outputs with plain `==` and makes results independent of thread count
 //! and hash-map iteration order. [`Instance`] caches one canonical table
-//! per relation, so scans start from the same ids every time.
+//! per relation, so scans start from the same ids every time, and the
+//! canonical order doubles as a sorted index: [`ColumnTable::contains_row`]
+//! and [`ColumnTable::rows_with_first`] are binary searches.
 //!
 //! Note raw-id order is an *internal* device (admission order, not the
 //! structural order on values — see [`crate::intern`]); it never escapes
@@ -22,6 +24,7 @@
 use crate::intern::ValueId;
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// A relation stored column-major over interned ids, in canonical
 /// (raw-id-sorted, duplicate-free) row order.
@@ -65,6 +68,53 @@ impl ColumnTable {
     /// Gather row `i` across columns.
     pub fn row(&self, i: usize) -> Vec<ValueId> {
         self.cols.iter().map(|c| c[i]).collect()
+    }
+
+    /// Overwrite `out` with row `i` (the allocation-free [`row`](Self::row)).
+    pub fn read_row(&self, i: usize, out: &mut Vec<ValueId>) {
+        out.clear();
+        out.extend(self.cols.iter().map(|c| c[i]));
+    }
+
+    /// Whether the table holds `row`: a binary search over the canonical
+    /// order.
+    pub fn contains_row(&self, row: &[ValueId]) -> bool {
+        debug_assert_eq!(row.len(), self.arity);
+        let (mut lo, mut hi) = (0, self.len);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let ord = self
+                .cols
+                .iter()
+                .zip(row)
+                .map(|(col, id)| col[mid].index().cmp(&id.index()))
+                .find(|o| *o != Ordering::Equal)
+                .unwrap_or(Ordering::Equal);
+            match ord {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return true,
+            }
+        }
+        false
+    }
+
+    /// The rows whose first column is `key`: canonical order sorts by the
+    /// first column, so they form one contiguous range, found by binary
+    /// search.
+    pub fn rows_with_first(&self, key: ValueId) -> Range<usize> {
+        let col = &self.cols[0];
+        let lo = col.partition_point(|id| id.index() < key.index());
+        let hi = lo + col[lo..].partition_point(|id| id.index() == key.index());
+        lo..hi
+    }
+
+    /// The distinct ids of column `c`, each once (in raw-id order).
+    pub fn distinct_ids(&self, c: usize) -> Vec<ValueId> {
+        let mut ids = self.cols[c].clone();
+        ids.sort_unstable_by_key(|id| id.index());
+        ids.dedup();
+        ids
     }
 
     /// Append a row without restoring the canonical order; callers must
@@ -193,10 +243,7 @@ impl ColumnTable {
 
     /// Number of distinct ids in column `c` (exact, O(n log n)).
     pub fn distinct(&self, c: usize) -> usize {
-        let mut ids: Vec<usize> = self.cols[c].iter().map(|id| id.index()).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids.len()
+        self.distinct_ids(c).len()
     }
 }
 
@@ -254,6 +301,30 @@ mod tests {
         assert_eq!(total, t.len());
         assert_eq!(t.distinct(0), 4);
         assert_eq!(t.distinct(1), 4);
+    }
+
+    #[test]
+    fn binary_searches_agree_with_scan() {
+        let int = Interner::new();
+        let v = ids(&int, &["a", "b", "c", "d", "e"]);
+        let rows: Vec<Vec<ValueId>> = [(0, 1), (0, 2), (1, 1), (3, 0), (3, 4), (3, 3)]
+            .iter()
+            .map(|&(i, j)| vec![v[i], v[j]])
+            .collect();
+        let t = ColumnTable::from_rows(2, rows.iter().map(Vec::as_slice));
+        let mut buf = Vec::new();
+        for &x in &v {
+            let scanned: Vec<usize> = (0..t.len()).filter(|&i| t.col(0)[i] == x).collect();
+            let range: Vec<usize> = t.rows_with_first(x).collect();
+            assert_eq!(range, scanned);
+            for &y in &v {
+                let held = rows.contains(&vec![x, y]);
+                assert_eq!(t.contains_row(&[x, y]), held);
+            }
+        }
+        t.read_row(2, &mut buf);
+        assert_eq!(buf, t.row(2));
+        assert_eq!(t.distinct_ids(0).len(), 3);
     }
 
     #[test]

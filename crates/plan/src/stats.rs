@@ -2,12 +2,11 @@
 //!
 //! Two collection tiers, both read from the instance's cached interned
 //! form (see `no_object::instance`). [`Stats::of`] takes relation
-//! cardinalities and the atom count (the active-domain size); the atom
-//! set is walked once per instance and then cached. [`Stats::of_detailed`]
-//! adds **exact** distinct values per column — the signal the
-//! join-algorithm pass uses to spot duplicate-heavy keys — which come
-//! with each relation's cached id table: the first call on an instance
-//! interns every relation, later calls (on every plan-cache miss) are
+//! cardinalities and the atom count (the active-domain size).
+//! [`Stats::of_detailed`] adds **exact** distinct values per column —
+//! the signal the join-algorithm pass uses to spot duplicate-heavy keys.
+//! The first call on an instance interns every relation and counts its
+//! atoms and distinct values; later calls (on every plan-cache miss) are
 //! O(schema). The cache is dropped by every mutation, so stats always
 //! describe the live rows; a *cached plan* may still carry estimates
 //! from older stats, which can only affect algorithm choice, never
@@ -34,7 +33,7 @@ pub struct Stats {
 
 impl Stats {
     /// Collect cardinalities and the atom count. O(#relations) once the
-    /// instance's atom set is cached; the first call walks the data.
+    /// instance's interned form is cached; the first call builds it.
     pub fn of(instance: &Instance) -> Stats {
         let rel_rows = instance
             .schema()
@@ -49,7 +48,7 @@ impl Stats {
     }
 
     /// Collect stats including exact per-column distinct counts, read
-    /// from the instance's cached id tables (built on first use).
+    /// from the instance's cached interned form (built on first use).
     pub fn of_detailed(instance: &Instance) -> Stats {
         let mut stats = Stats::of(instance);
         for r in instance.schema().relations() {

@@ -160,10 +160,10 @@ fn colliding_interns_agree_and_charge_growth_once() {
 // ---------------------------------------------------------------------------
 
 /// Four readers execute one columnar plan against a cold instance at
-/// once, so they race to build its interned form (the cache slots, then
-/// the interner shards the table build admits into). On every explored
+/// once, so they race to build its interned form (the cache slot, then
+/// the base arena's shards the build admits into). On every explored
 /// interleaving exactly one table is built — every reader sees the same
-/// ids, interns the plan's constant to the same id, and gets the same
+/// ids, finds the plan's constant at the same base id, and gets the same
 /// answer — and the only lock nesting the race adds is cache slot →
 /// shard writer, never the reverse.
 #[test]
@@ -201,7 +201,7 @@ fn readers_racing_to_fill_one_instance_cache_agree() {
                     let table = inst.id_table("G");
                     let built = std::sync::Arc::as_ptr(&table) as usize;
                     let ids: Vec<_> = (0..2).flat_map(|c| table.col(c).to_vec()).collect();
-                    let constant = inst.interner().intern(&a(0));
+                    let constant = inst.overlay().intern(&a(0));
                     out.lock()
                         .push((built, ids, constant, rel, gov.steps_spent()));
                 });
@@ -225,14 +225,131 @@ fn readers_racing_to_fill_one_instance_cache_agree() {
     assert!(
         edges
             .iter()
-            .any(|e| e.held_class == "instance.interned.table"
-                && e.acq_class == "intern.shard_writer"),
+            .any(|e| e.held_class == "instance.interned" && e.acq_class == "intern.shard_writer"),
         "the table build interns under its slot: {edges:?}"
     );
     assert!(
         !edges.iter().any(|e| e.held_class == "intern.shard_writer"
             && e.acq_class.starts_with("instance.interned")),
         "no cache slot may be taken under a shard lock: {edges:?}"
+    );
+}
+
+/// Four readers on four engines — Checked-mode (range-restricted) CALC,
+/// semi-naive Datalog, tree-walk algebra and a columnar plan — ask one
+/// cold instance the same successor lookup at once, so they race to
+/// build its interned form and then intern into overlays of their own
+/// (the CALC query names an atom the instance lacks, which its overlay
+/// admits). On every seeded interleaving each reader gets the answer and
+/// spends the steps of a run on a warm instance, and lockdep sees no
+/// cycle and no overlay lock taken under a base shard lock.
+#[test]
+fn four_engines_racing_on_one_cold_instance_agree() {
+    use no_algebra::{Expr, Pred};
+    use no_core::ast::{Formula, Term};
+    use no_core::eval::Query;
+    use no_datalog::{DTerm, Literal, Program, Strategy};
+    use no_exec::{ExecOp, ExecPlan, RowPred};
+    use no_object::{Instance, Relation, RelationSchema, Schema, Type, Value};
+
+    let _g = serial();
+    let a = |i: u32| Value::Atom(Atom(i));
+    let query = Query::new(
+        vec![("y".into(), Type::Atom)],
+        Formula::or([
+            Formula::Rel("G".into(), vec![Term::Const(a(0)), Term::var("y")]),
+            Formula::Rel("G".into(), vec![Term::Const(a(9)), Term::var("y")]),
+        ]),
+    );
+    let mut program = Program::new();
+    program.declare("s", vec![Type::Atom]);
+    program.rule(
+        "s",
+        vec![DTerm::var("y")],
+        vec![Literal::Pos(
+            "G".into(),
+            vec![DTerm::Const(a(0)), DTerm::var("y")],
+        )],
+    );
+    let select = Expr::rel("G").select(Pred::EqConst(1, a(0))).project([2]);
+    let mut plan = ExecPlan::new();
+    let scan = plan.push(ExecOp::Scan { rel: "G".into() });
+    let sel = plan.push(ExecOp::Select {
+        input: scan,
+        pred: RowPred::EqConst(0, a(0)),
+    });
+    plan.push(ExecOp::Project {
+        input: sel,
+        cols: vec![1],
+    });
+    let instance = || {
+        let schema = Schema::from_relations([RelationSchema::new("G", vec![Type::Atom; 2])]);
+        let mut inst = Instance::empty(schema);
+        for (x, y) in [(0, 1), (0, 2), (1, 2)] {
+            inst.insert("G", vec![a(x), a(y)]);
+        }
+        inst
+    };
+    let read = |engine: usize, inst: &Instance| -> (Relation, u64) {
+        let gov = Governor::unlimited();
+        let pool = ThreadPool::new(1);
+        let rel = match engine {
+            0 => no_core::ranges::safe_eval_pooled(inst, &query, &gov, &pool).unwrap(),
+            1 => {
+                let (idb, _) =
+                    no_datalog::eval_pooled(&program, inst, Strategy::SemiNaive, &gov, &pool)
+                        .unwrap();
+                idb["s"].clone()
+            }
+            2 => no_algebra::eval_pooled(&select, inst, &gov, &pool).unwrap(),
+            _ => no_exec::execute(&plan, inst, &gov, &pool).unwrap(),
+        };
+        (rel, gov.steps_spent())
+    };
+    let expected = Relation::from_rows([vec![a(1)], vec![a(2)]]);
+    let warm = instance();
+    let reference: Vec<(Relation, u64)> = (0..4).map(|e| read(e, &warm)).collect();
+    for (engine, (rel, steps)) in reference.iter().enumerate() {
+        assert_eq!(rel, &expected, "engine {engine}");
+        assert!(*steps > 0, "engine {engine} spends fuel");
+    }
+    let scenario = || {
+        let inst = instance();
+        let out: conc::Mutex<Vec<(usize, (Relation, u64))>> = conc::Mutex::new(Vec::new());
+        conc::thread::scope(|s| {
+            for engine in 0..4 {
+                let (inst, out, read) = (&inst, &out, &read);
+                conc::thread::spawn_scoped(s, move || {
+                    let got = read(engine, inst);
+                    out.lock().push((engine, got));
+                });
+            }
+            conc::thread::await_children();
+        });
+        let results = out.into_inner();
+        assert_eq!(results.len(), 4);
+        for (engine, got) in &results {
+            assert_eq!(
+                got, &reference[*engine],
+                "engine {engine} on a racing cold cache"
+            );
+        }
+    };
+    let res = sched::explore(
+        seeds("four-engines-cold-instance", 48, 0x4E61_CE01),
+        scenario,
+    );
+    res.assert_ok();
+    let edges = lockdep::edges();
+    assert!(
+        lockdep::cycles_in(&edges).is_empty(),
+        "racing engines must not close a lock-order cycle: {edges:?}"
+    );
+    assert!(
+        !edges.iter().any(
+            |e| e.held_class == "intern.shard_writer" && e.acq_class == "intern.overlay_writer"
+        ),
+        "no overlay lock may be taken under a base shard lock: {edges:?}"
     );
 }
 

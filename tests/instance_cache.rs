@@ -7,13 +7,14 @@
 //! evaluation (which scans the cached id tables) must equal the
 //! tree-walk evaluation and the test's own model of the data, and the
 //! planner's statistics must equal those of a cache-free rebuild of the
-//! instance. Metering: a planned request spends the same steps on a cold
-//! cache, on a warm one, and after other requests interned constants the
-//! instance has never seen.
+//! instance. Metering: a request on any engine — planned, CALC in every
+//! mode, algebra, Datalog semi-naive and stratified — spends the same
+//! steps and memory on a cold cache, on a warm one, and after other
+//! requests interned constants the instance has never seen.
 
 use nestdb::object::{Instance, Relation, RelationSchema, Schema, Type, Value};
 use nestdb::plan::Stats;
-use nestdb::proto::{Lang, Mode, Op};
+use nestdb::proto::{Lang, Mode, Op, Strategy};
 use nestdb::{Request, Session, Store};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -269,11 +270,11 @@ fn wal_tail_replay_on_reopen_is_not_served_stale() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A 50-node graph with out-degree 4, loaded into a fresh session (cold
-/// instance cache).
+/// A 50-node graph with out-degree 4, loaded into a fresh sequential
+/// session (cold instance cache).
 fn graph_session() -> Session {
     let store = Arc::new(RwLock::new(Store::new()));
-    let s = Session::builder().store(store).build();
+    let s = Session::builder().store(store).parallelism(1).build();
     insert(&s, "schema G(U, U).");
     for i in 0..50 {
         for k in 1..=4 {
@@ -283,11 +284,33 @@ fn graph_session() -> Session {
     s
 }
 
-fn steps(s: &Session, req: &Request) -> u64 {
+/// A request's `(steps, mem_bytes)` spend.
+fn spend(s: &Session, req: &Request) -> (u64, u64) {
     let r = s.run(req);
     assert!(r.ok, "{}: {:?}", req.text, r.error);
-    r.spend.expect("every response carries its spend").steps
+    let spend = r.spend.expect("every response carries its spend");
+    (spend.steps, spend.mem_bytes)
 }
+
+fn tree_walk(lang: Lang, mode: Mode, text: &str) -> Request {
+    Request {
+        mode,
+        ..Request::eval(lang, text)
+    }
+}
+
+fn datalog(strategy: Strategy, text: &str) -> Request {
+    Request {
+        strategy,
+        ..Request::eval(Lang::Datalog, text)
+    }
+}
+
+const TC: &str = "rel tc(U, U).\ntc(x, y) :- G(x, y).\ntc(x, y) :- tc(x, z), G(z, y).";
+const UNREACH: &str = "rel tc(U, U).\nrel node(U).\nrel unreach(U, U).\n\
+    tc(x, y) :- G(x, y).\ntc(x, y) :- tc(x, z), G(z, y).\n\
+    node(x) :- G(x, y).\nnode(y) :- G(x, y).\n\
+    unreach(x, y) :- node(x), node(y), !tc(x, y).";
 
 #[test]
 fn planned_steps_do_not_depend_on_the_cache_state() {
@@ -300,22 +323,45 @@ fn planned_steps_do_not_depend_on_the_cache_state() {
             planned: true,
             ..Request::eval(Lang::Algebra, "select[eqc(1, 'n7')](G)")
         },
+        // the tree-walk engines, which read the same cached tables
+        tree_walk(Lang::Calc, Mode::Checked, "{[y:U] | G('n3', y)}"),
+        tree_walk(
+            Lang::Calc,
+            Mode::Safe,
+            "{[z:U] | exists y:U (G('n1', y) /\\ G(y, z))}",
+        ),
+        tree_walk(Lang::Calc, Mode::Fast, "{[x:U] | G(x, 'n10')}"),
+        tree_walk(
+            Lang::Algebra,
+            Mode::Safe,
+            "project[2](select[eqc(1, 'n7')](G))",
+        ),
+        tree_walk(
+            Lang::Algebra,
+            Mode::Safe,
+            "nest[2](select[eqc(1, 'n7')](G))",
+        ),
+        datalog(Strategy::SemiNaive, "rel s(U).\ns(y) :- G('n3', y)."),
+        datalog(Strategy::SemiNaive, TC),
+        datalog(Strategy::Stratified, UNREACH),
     ];
-    // constants the instance has never seen, interned into its arena by
-    // the executor
+    // constants the instance has never seen, interned by each engine
     let novel = [
         calc("{[y:U] | G('fresh0', y)}", true),
         calc("{[x:U] | G(x, 'fresh1') \\/ G('fresh2', x)}", true),
+        tree_walk(Lang::Calc, Mode::Checked, "{[y:U] | G('fresh3', y)}"),
+        tree_walk(Lang::Algebra, Mode::Safe, "select[eqc(1, 'fresh4')](G)"),
+        datalog(Strategy::SemiNaive, "rel s(U).\ns(y) :- G('fresh5', y)."),
     ];
     for req in &requests {
         let s = graph_session();
-        let cold = steps(&s, req);
-        assert!(cold > 0, "{}: a planned request spends fuel", req.text);
-        let warm = steps(&s, req);
+        let cold = spend(&s, req);
+        assert!(cold.0 > 0, "{}: a request spends fuel", req.text);
+        let warm = spend(&s, req);
         for n in &novel {
-            steps(&s, n);
+            spend(&s, n);
         }
-        let after_novel = steps(&s, req);
+        let after_novel = spend(&s, req);
         assert_eq!(
             (warm, after_novel),
             (cold, cold),
@@ -326,9 +372,9 @@ fn planned_steps_do_not_depend_on_the_cache_state() {
         // a cache warmed by other requests first
         let s = graph_session();
         for other in requests.iter().chain(&novel) {
-            steps(&s, other);
+            spend(&s, other);
         }
-        assert_eq!(steps(&s, req), cold, "{}: cache filled by others", req.text);
+        assert_eq!(spend(&s, req), cold, "{}: cache filled by others", req.text);
     }
 }
 
@@ -348,4 +394,61 @@ fn clones_and_equality_ignore_the_cache() {
         stats_key(Stats::of_detailed(&cold)),
         stats_key(Stats::of_detailed(warm))
     );
+}
+
+/// Requests intern into overlays that die with them: 500 requests over
+/// all four engines, each naming an atom the instance lacks, plus nest
+/// and powerset queries that build set values it lacks, leave the
+/// instance's base arena exactly as large as before, and every answer
+/// equals the one a fresh session gives.
+#[test]
+fn requests_never_grow_the_instance_arena() {
+    let request = |i: usize| -> Request {
+        let (k, ghost) = (i % 50, format!("ghost{i}"));
+        match i % 6 {
+            0 => calc(
+                &format!("{{[y:U] | G('{ghost}', y) \\/ G('n{k}', y)}}"),
+                true,
+            ),
+            1 => tree_walk(
+                Lang::Calc,
+                Mode::Checked,
+                &format!("{{[y:U] | G('n{k}', y) \\/ G('{ghost}', y)}}"),
+            ),
+            2 => tree_walk(
+                Lang::Algebra,
+                Mode::Safe,
+                &format!("select[or(eqc(1, 'n{k}'), eqc(1, '{ghost}'))](G)"),
+            ),
+            3 => datalog(
+                Strategy::SemiNaive,
+                &format!("rel s(U).\ns(y) :- G('n{k}', y).\ns('{ghost}') :- G('n{k}', y)."),
+            ),
+            4 => tree_walk(
+                Lang::Algebra,
+                Mode::Safe,
+                &format!("nest[2](select[or(eqc(1, 'n{k}'), eqc(2, '{ghost}'))](G))"),
+            ),
+            _ => tree_walk(
+                Lang::Algebra,
+                Mode::Safe,
+                &format!("powerset(project[2](select[or(eqc(1, 'n{k}'), eqc(1, '{ghost}'))](G)))"),
+            ),
+        }
+    };
+    let base_len = |s: &Session| s.store().read().unwrap().instance().overlay().base_len();
+    let used = graph_session();
+    let before = base_len(&used);
+    assert!(before > 0, "the base holds the graph");
+    let answers: Vec<Vec<String>> = (0..500).map(|i| run_ok(&used, &request(i))).collect();
+    assert_eq!(base_len(&used), before, "requests wrote to the base");
+
+    let fresh = graph_session();
+    for i in (0..500).rev() {
+        let mut got = run_ok(&fresh, &request(i));
+        let mut want = answers[i].clone();
+        got.sort();
+        want.sort();
+        assert_eq!(got, want, "{}", request(i).text);
+    }
 }
