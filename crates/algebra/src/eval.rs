@@ -24,10 +24,9 @@
 use crate::expr::{AlgebraError, Expr, Pred};
 use minipool::ThreadPool;
 use no_object::intern::{IdRelation, Interner, ValueId};
-use no_object::{ColumnTable, Governor, Instance, Limits, Relation};
+use no_object::{ColumnTable, Governor, Instance, Relation};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Minimum product cell count before the evaluator bothers fanning a
 /// product out over the pool (below this, task setup dominates).
@@ -37,87 +36,15 @@ const PARALLEL_PRODUCT_MIN_CELLS: u64 = 1024;
 /// (2^10 = 1024 output rows).
 const PARALLEL_POWERSET_MIN_ELEMS: usize = 10;
 
-/// Evaluation limits — a thin constructor over the shared [`Governor`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct AlgebraConfig {
-    /// Maximum number of rows any intermediate result may hold.
-    pub max_rows: u64,
-    /// Total step fuel: each materialised row costs one step.
-    pub max_steps: u64,
-    /// Approximate bytes of materialised rows allowed
-    /// (`u64::MAX` = unlimited).
-    pub max_memory_bytes: u64,
-    /// Wall-clock allowance for the whole evaluation (`None` = unlimited).
-    pub deadline: Option<Duration>,
-}
-
-impl Default for AlgebraConfig {
-    fn default() -> Self {
-        AlgebraConfig {
-            max_rows: 1 << 22,
-            max_steps: 200_000_000,
-            max_memory_bytes: u64::MAX,
-            deadline: None,
-        }
-    }
-}
-
-impl AlgebraConfig {
-    /// A config whose only binding limit is the row cap (the historical
-    /// constructor).
-    pub fn with_max_rows(max_rows: u64) -> Self {
-        AlgebraConfig {
-            max_rows,
-            ..AlgebraConfig::default()
-        }
-    }
-
-    /// The governor limits this config describes (the row cap maps onto
-    /// the governor's range cap).
-    pub fn limits(&self) -> Limits {
-        Limits {
-            max_steps: self.max_steps,
-            max_range: self.max_rows,
-            max_fixpoint_iters: u64::MAX,
-            max_memory_bytes: self.max_memory_bytes,
-            deadline: self.deadline,
-        }
-    }
-
-    /// Start a fresh [`Governor`] enforcing these budgets.
-    pub fn governor(&self) -> Governor {
-        Governor::new(self.limits())
-    }
-}
-
-/// Evaluate an expression on an instance.
-pub fn eval(
-    expr: &Expr,
-    instance: &Instance,
-    config: &AlgebraConfig,
-) -> Result<Relation, AlgebraError> {
-    eval_governed(expr, instance, &config.governor())
-}
-
-/// Evaluate under an existing [`Governor`] — callers that run several
-/// engines inside one query hand the same governor to each so they draw
-/// from a single allowance.
-pub fn eval_governed(
-    expr: &Expr,
-    instance: &Instance,
-    governor: &Governor,
-) -> Result<Relation, AlgebraError> {
-    eval_pooled(expr, instance, governor, &ThreadPool::sequential())
-}
-
-/// [`eval_governed`] with an explicit [`ThreadPool`]. The enumeration-heavy
-/// operators — product and powerset — fan their output loops out over the
-/// pool when the work is large enough to amortise task setup; all other
-/// operators run on the calling thread. At `threads == 1` evaluation is
-/// identical to previous releases. Results are identical at every
-/// parallelism level; under tight budgets the exact row at which a
-/// resource trip fires may differ when `threads > 1` because workers
-/// charge the governor concurrently.
+/// Evaluate an expression on an instance under `governor` — callers that
+/// run several engines inside one query hand the same governor to each so
+/// they draw from a single allowance. The enumeration-heavy operators —
+/// product and powerset — fan their output loops out over `pool` when the
+/// work is large enough to amortise task setup; all other operators run on
+/// the calling thread. Results are identical at every parallelism level;
+/// under tight budgets the exact row at which a resource trip fires may
+/// differ when `threads > 1` because workers charge the governor
+/// concurrently.
 pub fn eval_pooled(
     expr: &Expr,
     instance: &Instance,
@@ -446,7 +373,11 @@ impl IdPred {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use no_object::{BudgetKind, RelationSchema, Schema, Type, Universe, Value};
+    use no_object::{BudgetKind, Limits, RelationSchema, Schema, Type, Universe, Value};
+
+    fn run(expr: &Expr, i: &Instance, limits: Limits) -> Result<Relation, AlgebraError> {
+        eval_pooled(expr, i, &Governor::new(limits), &ThreadPool::sequential())
+    }
 
     fn dept_db() -> (Universe, Instance) {
         let mut u = Universe::new();
@@ -468,7 +399,7 @@ mod tests {
         let (u, i) = dept_db();
         let sales = Value::Atom(u.get("sales").unwrap());
         let e = Expr::rel("W").select(Pred::EqConst(2, sales)).project([1]);
-        let out = eval(&e, &i, &AlgebraConfig::default()).unwrap();
+        let out = run(&e, &i, Limits::default()).unwrap();
         assert_eq!(out.len(), 2);
     }
 
@@ -476,7 +407,7 @@ mod tests {
     fn nest_groups_by_remaining_columns() {
         let (u, i) = dept_db();
         let e = Expr::rel("W").project([2, 1]).nest(2); // (dept, {emp})
-        let out = eval(&e, &i, &AlgebraConfig::default()).unwrap();
+        let out = run(&e, &i, Limits::default()).unwrap();
         assert_eq!(out.len(), 2);
         let sales = Value::Atom(u.get("sales").unwrap());
         let ann = Value::Atom(u.get("ann").unwrap());
@@ -489,7 +420,7 @@ mod tests {
         let (_u, i) = dept_db();
         let nested = Expr::rel("W").nest(1); // ({emp}, dept)
         let round = nested.unnest(1);
-        let out = eval(&round, &i, &AlgebraConfig::default()).unwrap();
+        let out = run(&round, &i, Limits::default()).unwrap();
         assert_eq!(&out, i.relation("W"));
     }
 
@@ -506,7 +437,7 @@ mod tests {
         i.insert("D", vec![Value::Atom(k), Value::set([Value::Atom(a)])]);
         i.insert("D", vec![Value::Atom(k), Value::set([Value::Atom(b)])]);
         let round = Expr::rel("D").unnest(2).nest(2);
-        let out = eval(&round, &i, &AlgebraConfig::default()).unwrap();
+        let out = run(&round, &i, Limits::default()).unwrap();
         assert_eq!(out.len(), 1); // {a} and {b} merged into {a,b}
         assert!(out.contains(&[Value::Atom(k), Value::set([Value::Atom(a), Value::Atom(b)])]));
     }
@@ -515,17 +446,12 @@ mod tests {
     fn product_and_set_ops() {
         let (_u, i) = dept_db();
         let p = Expr::rel("W").product(Expr::rel("W"));
-        let out = eval(&p, &i, &AlgebraConfig::default()).unwrap();
+        let out = run(&p, &i, Limits::default()).unwrap();
         assert_eq!(out.len(), 9);
         let diff = Expr::rel("W").difference(Expr::rel("W"));
-        assert!(eval(&diff, &i, &AlgebraConfig::default())
-            .unwrap()
-            .is_empty());
+        assert!(run(&diff, &i, Limits::default()).unwrap().is_empty());
         let inter = Expr::rel("W").intersect(Expr::rel("W"));
-        assert_eq!(
-            eval(&inter, &i, &AlgebraConfig::default()).unwrap().len(),
-            3
-        );
+        assert_eq!(run(&inter, &i, Limits::default()).unwrap().len(), 3);
     }
 
     #[test]
@@ -533,10 +459,13 @@ mod tests {
         let (_u, i) = dept_db();
         let emps = Expr::rel("W").project([1]);
         let pow = emps.clone().powerset();
-        let out = eval(&pow, &i, &AlgebraConfig::default()).unwrap();
+        let out = run(&pow, &i, Limits::default()).unwrap();
         assert_eq!(out.len(), 8); // 2^3 subsets of the employee set
-        let tight = AlgebraConfig::with_max_rows(4);
-        match eval(&pow, &i, &tight) {
+        let tight = Limits {
+            max_range: 4,
+            ..Limits::default()
+        };
+        match run(&pow, &i, tight) {
             Err(AlgebraError::Resource(e)) => {
                 assert_eq!(e.budget, BudgetKind::Range);
                 assert_eq!(e.limit, 4);
@@ -552,8 +481,11 @@ mod tests {
         let big = Expr::rel("W")
             .product(Expr::rel("W"))
             .product(Expr::rel("W"));
-        let tight = AlgebraConfig::with_max_rows(10);
-        match eval(&big, &i, &tight) {
+        let tight = Limits {
+            max_range: 10,
+            ..Limits::default()
+        };
+        match run(&big, &i, tight) {
             Err(AlgebraError::Resource(e)) => assert_eq!(e.budget, BudgetKind::Range),
             other => panic!("expected a range Resource error, got {other:?}"),
         }
@@ -563,11 +495,11 @@ mod tests {
     fn step_fuel_bounds_materialised_rows() {
         let (_u, i) = dept_db();
         let big = Expr::rel("W").product(Expr::rel("W"));
-        let tight = AlgebraConfig {
+        let tight = Limits {
             max_steps: 5,
-            ..AlgebraConfig::default()
+            ..Limits::default()
         };
-        match eval(&big, &i, &tight) {
+        match run(&big, &i, tight) {
             Err(AlgebraError::Resource(e)) => {
                 assert_eq!(e.budget, BudgetKind::Steps);
                 assert_eq!(e.limit, 5);
@@ -580,11 +512,11 @@ mod tests {
     fn memory_budget_bounds_materialised_bytes() {
         let (_u, i) = dept_db();
         let big = Expr::rel("W").product(Expr::rel("W"));
-        let tight = AlgebraConfig {
+        let tight = Limits {
             max_memory_bytes: 64,
-            ..AlgebraConfig::default()
+            ..Limits::default()
         };
-        match eval(&big, &i, &tight) {
+        match run(&big, &i, tight) {
             Err(AlgebraError::Resource(e)) => assert_eq!(e.budget, BudgetKind::Memory),
             other => panic!("expected a memory Resource error, got {other:?}"),
         }
@@ -605,8 +537,8 @@ mod tests {
             i.insert("W", vec![key, v.clone()]);
         }
         // nest col 2: eight rows, every set column is the same value {v}
-        let g = AlgebraConfig::default().governor();
-        let out = eval_governed(&Expr::rel("W").nest(2), &i, &g).unwrap();
+        let g = Governor::default();
+        let out = eval_pooled(&Expr::rel("W").nest(2), &i, &g, &ThreadPool::sequential()).unwrap();
         assert_eq!(out.len(), 8);
         // the {v} node is charged at most once: total spend stays below
         // eight copies' worth of the old per-clone accounting
@@ -621,9 +553,9 @@ mod tests {
     #[test]
     fn cancellation_stops_evaluation() {
         let (_u, i) = dept_db();
-        let g = AlgebraConfig::default().governor();
+        let g = Governor::default();
         g.cancel();
-        match eval_governed(&Expr::rel("W"), &i, &g) {
+        match eval_pooled(&Expr::rel("W"), &i, &g, &ThreadPool::sequential()) {
             Err(AlgebraError::Resource(e)) => assert_eq!(e.budget, BudgetKind::Cancelled),
             other => panic!("expected a cancellation error, got {other:?}"),
         }
@@ -644,15 +576,11 @@ mod tests {
             .product(Expr::rel("E"))
             .product(Expr::rel("E"));
         for expr in [pow, prod] {
-            let seq = eval_governed(&expr, &i, &AlgebraConfig::default().governor()).unwrap();
+            let seq =
+                eval_pooled(&expr, &i, &Governor::default(), &ThreadPool::sequential()).unwrap();
             for threads in [2, 4] {
-                let par = eval_pooled(
-                    &expr,
-                    &i,
-                    &AlgebraConfig::default().governor(),
-                    &ThreadPool::new(threads),
-                )
-                .unwrap();
+                let par = eval_pooled(&expr, &i, &Governor::default(), &ThreadPool::new(threads))
+                    .unwrap();
                 assert_eq!(seq, par, "threads {threads}");
             }
         }
@@ -674,7 +602,7 @@ mod tests {
         i.insert("D", vec![Value::Atom(b), Value::set([Value::Atom(a)])]);
         // rows whose key is a member of its own set
         let e = Expr::rel("D").select(Pred::InCols(1, 2));
-        let out = eval(&e, &i, &AlgebraConfig::default()).unwrap();
+        let out = run(&e, &i, Limits::default()).unwrap();
         assert_eq!(out.len(), 1);
     }
 }

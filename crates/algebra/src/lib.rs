@@ -10,8 +10,9 @@
 //! # Example
 //!
 //! ```
-//! use no_algebra::{eval, AlgebraConfig, Expr};
-//! use no_object::{Instance, RelationSchema, Schema, Type, Universe, Value};
+//! use minipool::ThreadPool;
+//! use no_algebra::{eval_pooled, Expr};
+//! use no_object::{Governor, Instance, RelationSchema, Schema, Type, Universe, Value};
 //!
 //! let mut universe = Universe::new();
 //! let schema = Schema::from_relations([
@@ -26,7 +27,7 @@
 //!
 //! // nest employees by department: one row (dept, {emps})
 //! let grouped = Expr::rel("W").project([2, 1]).nest(2);
-//! let out = eval(&grouped, &db, &AlgebraConfig::default()).unwrap();
+//! let out = eval_pooled(&grouped, &db, &Governor::default(), &ThreadPool::sequential()).unwrap();
 //! assert_eq!(out.len(), 1);
 //! ```
 
@@ -38,7 +39,7 @@ pub mod expr;
 pub mod parser;
 pub mod to_calc;
 
-pub use eval::{eval, eval_governed, eval_pooled, AlgebraConfig};
+pub use eval::eval_pooled;
 pub use expr::{AlgebraError, Expr, Pred};
 pub use parser::{parse_expr, ParseError};
 pub use to_calc::to_query;

@@ -181,10 +181,9 @@ fn pred_formula(pred: &Pred, args: &[Term]) -> Formula {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{eval, AlgebraConfig};
-    use no_core::error::EvalConfig;
-    use no_core::eval::eval_query_with;
-    use no_object::{Instance, RelationSchema, Universe, Value};
+    use crate::eval::eval_pooled;
+    use minipool::ThreadPool;
+    use no_object::{Governor, Instance, RelationSchema, Universe, Value};
 
     fn dept_db() -> (Universe, Instance) {
         let mut u = Universe::new();
@@ -205,9 +204,10 @@ mod tests {
     }
 
     fn check_equiv(expr: &Expr, i: &Instance) {
-        let by_algebra = eval(expr, i, &AlgebraConfig::default()).unwrap();
+        let (gov, pool) = (Governor::default(), ThreadPool::sequential());
+        let by_algebra = eval_pooled(expr, i, &gov, &pool).unwrap();
         let q = to_query(expr, i.schema()).unwrap();
-        let by_calc = eval_query_with(i, &q, EvalConfig::default()).unwrap();
+        let by_calc = no_core::eval_pooled(&q, i, &gov, &pool).unwrap();
         assert_eq!(by_algebra, by_calc, "expr {expr}");
     }
 

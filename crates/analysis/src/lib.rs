@@ -15,8 +15,8 @@
 //!
 //! Entry points: [`analyze_calc`]/[`analyze_query`] for CALC,
 //! [`analyze_datalog`]/[`analyze_program`] for Datalog¬. `nestdb` surfaces
-//! these through `Session::analyze`, the shell's `:check`, and the
-//! `analyze` CLI subcommand.
+//! these through `op: Analyze` and `mode: Checked` requests, the shell's
+//! `:check`, and the `analyze` CLI subcommand.
 
 #![warn(missing_docs)]
 

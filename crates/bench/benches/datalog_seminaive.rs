@@ -5,9 +5,10 @@
 //! with the chain length (it re-joins only the frontier each round).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use no_datalog::{eval, DTerm, Literal, Program, Strategy};
+use minipool::ThreadPool;
+use no_datalog::{eval_pooled, DTerm, Literal, Program, Strategy};
 use no_density::families;
-use no_object::Type;
+use no_object::{Governor, Type};
 use std::hint::black_box;
 
 fn tc_program() -> Program {
@@ -36,13 +37,32 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("datalog_tc");
     group.sample_size(10);
     let program = tc_program();
+    let pool = ThreadPool::sequential();
     for n in [10usize, 20, 40] {
         let g = families::path_graph(n);
         group.bench_with_input(BenchmarkId::new("naive", n), &n, |b, _| {
-            b.iter(|| eval(&program, black_box(&g.instance), Strategy::Naive).unwrap())
+            b.iter(|| {
+                eval_pooled(
+                    &program,
+                    black_box(&g.instance),
+                    Strategy::Naive,
+                    &Governor::default(),
+                    &pool,
+                )
+                .unwrap()
+            })
         });
         group.bench_with_input(BenchmarkId::new("seminaive", n), &n, |b, _| {
-            b.iter(|| eval(&program, black_box(&g.instance), Strategy::SemiNaive).unwrap())
+            b.iter(|| {
+                eval_pooled(
+                    &program,
+                    black_box(&g.instance),
+                    Strategy::SemiNaive,
+                    &Governor::default(),
+                    &pool,
+                )
+                .unwrap()
+            })
         });
     }
     group.finish();

@@ -12,10 +12,11 @@
 //! and grows like `2ⁿ/n` on the sparse one.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use minipool::ThreadPool;
 use no_core::ast::{Formula, Term};
-use no_core::error::EvalConfig;
-use no_core::eval::{eval_query_with, Query};
+use no_core::eval::{eval_pooled, Query};
 use no_density::families;
+use no_object::Governor;
 use no_object::Type;
 use std::hint::black_box;
 
@@ -43,10 +44,11 @@ fn bench(c: &mut Criterion) {
         let dense = families::subset_family(n);
         group.bench_with_input(BenchmarkId::new("dense_subsets", n), &n, |b, _| {
             b.iter(|| {
-                eval_query_with(
-                    black_box(&dense.instance),
+                eval_pooled(
                     &dominated_query("R"),
-                    EvalConfig::default(),
+                    black_box(&dense.instance),
+                    &Governor::default(),
+                    &ThreadPool::sequential(),
                 )
                 .unwrap()
             })
@@ -55,10 +57,11 @@ fn bench(c: &mut Criterion) {
         let sparse = families::bounded_enrollment_family(n, 1);
         group.bench_with_input(BenchmarkId::new("sparse_bounded", n), &n, |b, _| {
             b.iter(|| {
-                eval_query_with(
-                    black_box(&sparse.instance),
+                eval_pooled(
                     &dominated_query("Takes"),
-                    EvalConfig::default(),
+                    black_box(&sparse.instance),
+                    &Governor::default(),
+                    &ThreadPool::sequential(),
                 )
                 .unwrap()
             })

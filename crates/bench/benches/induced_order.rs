@@ -9,11 +9,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use no_core::ast::Term;
-use no_core::error::EvalConfig;
 use no_core::eval::{Env, Evaluator};
 use no_core::orders::{LtBase, OrderSynth};
 use no_object::domain::DomainIter;
 use no_object::order::induced_cmp;
+use no_object::Governor;
 use no_object::{AtomOrder, Instance, RelationSchema, Schema, Type, Universe, Value};
 use std::hint::black_box;
 
@@ -62,7 +62,7 @@ fn bench(c: &mut Criterion) {
         let formula = synth.less(&ty, Term::var("x"), Term::var("y"));
         group.bench_with_input(BenchmarkId::new("formula", n), &n, |b, _| {
             b.iter(|| {
-                let mut ev = Evaluator::new(&instance, order.clone(), EvalConfig::default());
+                let mut ev = Evaluator::new(&instance, order.clone(), Governor::default());
                 let mut acc = 0usize;
                 for a in &values {
                     for bv in &values {

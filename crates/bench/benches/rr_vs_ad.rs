@@ -8,10 +8,11 @@
 //! added atom.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use minipool::ThreadPool;
 use no_bench::fixtures::{nest_query, pair_schema};
-use no_core::error::EvalConfig;
-use no_core::eval::eval_query_with;
-use no_core::ranges::safe_eval;
+use no_core::eval::eval_pooled;
+use no_core::ranges::safe_eval_pooled;
+use no_object::Governor;
 use no_object::{Instance, Universe, Value};
 use std::hint::black_box;
 
@@ -35,7 +36,15 @@ fn bench(c: &mut Criterion) {
     for n in [4usize, 8, 12, 16] {
         let i = nest_instance(n);
         group.bench_with_input(BenchmarkId::new("safe", n), &n, |b, _| {
-            b.iter(|| safe_eval(black_box(&i), &nest_query(), EvalConfig::default()).unwrap())
+            b.iter(|| {
+                safe_eval_pooled(
+                    black_box(&i),
+                    &nest_query(),
+                    &Governor::default(),
+                    &ThreadPool::sequential(),
+                )
+                .unwrap()
+            })
         });
     }
     // active-domain evaluation enumerates 2^n sets for the head variable —
@@ -43,7 +52,15 @@ fn bench(c: &mut Criterion) {
     for n in [4usize, 8, 12] {
         let i = nest_instance(n);
         group.bench_with_input(BenchmarkId::new("active_domain", n), &n, |b, _| {
-            b.iter(|| eval_query_with(black_box(&i), &nest_query(), EvalConfig::default()).unwrap())
+            b.iter(|| {
+                eval_pooled(
+                    &nest_query(),
+                    black_box(&i),
+                    &Governor::default(),
+                    &ThreadPool::sequential(),
+                )
+                .unwrap()
+            })
         });
     }
     group.finish();

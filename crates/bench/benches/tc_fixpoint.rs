@@ -8,11 +8,12 @@
 //! and is only benchmarked for n ≤ 3.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use minipool::ThreadPool;
 use no_bench::fixtures::{tc_ifp_query, tc_powerset_query};
-use no_core::error::EvalConfig;
-use no_core::eval::eval_query_with;
-use no_datalog::{eval as dl_eval, DTerm, Literal, Program, Strategy};
+use no_core::eval::eval_pooled;
+use no_datalog::{DTerm, Literal, Program, Strategy};
 use no_density::families;
+use no_object::Governor;
 use no_object::Type;
 use std::hint::black_box;
 
@@ -45,16 +46,26 @@ fn bench(c: &mut Criterion) {
         let g = families::cycle_graph(n);
         group.bench_with_input(BenchmarkId::new("ifp", n), &n, |b, _| {
             b.iter(|| {
-                eval_query_with(
-                    black_box(&g.instance),
+                eval_pooled(
                     &tc_ifp_query(&Type::Atom),
-                    EvalConfig::default(),
+                    black_box(&g.instance),
+                    &Governor::default(),
+                    &ThreadPool::sequential(),
                 )
                 .unwrap()
             })
         });
         group.bench_with_input(BenchmarkId::new("datalog_seminaive", n), &n, |b, _| {
-            b.iter(|| dl_eval(&tc_program(), black_box(&g.instance), Strategy::SemiNaive).unwrap())
+            b.iter(|| {
+                no_datalog::eval_pooled(
+                    &tc_program(),
+                    black_box(&g.instance),
+                    Strategy::SemiNaive,
+                    &Governor::default(),
+                    &ThreadPool::sequential(),
+                )
+                .unwrap()
+            })
         });
     }
     // the hyperexponential baseline only survives tiny n
@@ -62,10 +73,11 @@ fn bench(c: &mut Criterion) {
         let g = families::cycle_graph(n);
         group.bench_with_input(BenchmarkId::new("powerset", n), &n, |b, _| {
             b.iter(|| {
-                eval_query_with(
-                    black_box(&g.instance),
+                eval_pooled(
                     &tc_powerset_query(&Type::Atom),
-                    EvalConfig::default(),
+                    black_box(&g.instance),
+                    &Governor::default(),
+                    &ThreadPool::sequential(),
                 )
                 .unwrap()
             })

@@ -8,7 +8,7 @@
 //! quantifies how much that costs at each level of indirection.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use no_core::error::EvalConfig;
+use no_object::Governor;
 use no_object::{AtomOrder, Universe};
 use no_tm::formula::CompiledSim;
 use no_tm::machine::{Machine, Move};
@@ -51,7 +51,7 @@ fn bench(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("calc_formula", input.len()), |b| {
         let sim = CompiledSim::compile(&machine, &order, 1, input).unwrap();
         b.iter(|| {
-            let rel = sim.run(EvalConfig::default()).unwrap();
+            let rel = sim.run(&Governor::default()).unwrap();
             sim.decode_output(black_box(&rel)).unwrap()
         })
     });

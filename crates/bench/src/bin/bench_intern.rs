@@ -18,10 +18,10 @@
 //! harness asserts the cardinalities agree, so the speedup is not bought
 //! with a semantic shortcut.
 
+use no_bench::best_of;
 use no_object::intern::{Interner, ValueId};
 use no_object::{Universe, Value};
 use std::collections::{HashMap, HashSet};
-use std::time::Instant;
 
 /// Node `i`: a set of sets of atoms, wide enough that structural hashing
 /// visits dozens of nodes per touch. Distinct per `i`.
@@ -36,19 +36,6 @@ fn nested_node(u: &mut Universe, i: usize) -> Value {
         })
         .collect();
     Value::set(inner)
-}
-
-/// Best-of-`reps` wall time in milliseconds for `f`, which must return a
-/// result cardinality (used as a cross-check between variants).
-fn best_of(reps: usize, mut f: impl FnMut() -> usize) -> (f64, usize) {
-    let mut best = f64::INFINITY;
-    let mut n = 0;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        n = f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    (best, n)
 }
 
 /// Semi-naive transitive closure over tree values: every dedup probe

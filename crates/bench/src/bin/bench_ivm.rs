@@ -22,7 +22,8 @@
 //! (or loses to) a straight recompute. The crossover is the honest
 //! result, not a defect.
 
-use nestdb::datalog::{eval_stratified_governed, parse_program};
+use minipool::ThreadPool;
+use nestdb::datalog::{eval_stratified_pooled, parse_program};
 use nestdb::ivm::{BaseDelta, ViewRegistry};
 use nestdb::object::{Governor, Instance, RelationSchema, Schema, Type, Universe, Value};
 use std::time::Instant;
@@ -106,7 +107,8 @@ fn measure(name: &str, src: &str, d: usize) -> Row {
     }) / 2.0;
 
     // exactness: the maintained state equals the oracle bit-for-bit
-    let oracle = eval_stratified_governed(&program, &instance, &Governor::unlimited())
+    let seq = ThreadPool::sequential();
+    let oracle = eval_stratified_pooled(&program, &instance, &Governor::unlimited(), &seq)
         .expect("stratified oracle");
     let view = reg.get(name).unwrap();
     for (rel, rows) in view.relations() {
@@ -119,7 +121,7 @@ fn measure(name: &str, src: &str, d: usize) -> Row {
 
     // full recomputation of the same program over the same instance
     let recompute_ms = timed(5, || {
-        let idb = eval_stratified_governed(&program, &instance, &Governor::unlimited())
+        let idb = eval_stratified_pooled(&program, &instance, &Governor::unlimited(), &seq)
             .expect("recompute");
         assert!(!idb.is_empty());
     });

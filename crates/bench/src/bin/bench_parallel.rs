@@ -24,13 +24,13 @@
 //! so no configuration trades answers for speed.
 
 use minipool::ThreadPool;
+use no_bench::best_of;
 use no_bench::fixtures::tc_ifp_query;
 use no_core::eval::Evaluator;
 use no_datalog::{DTerm, Literal, Program, Strategy};
 use no_object::{
     Atom, AtomOrder, Governor, Instance, Limits, RelationSchema, Schema, Type, Universe, Value,
 };
-use std::time::Instant;
 
 /// A dense-ish random-free graph over `n` atoms: edges `(i, (i*k) % n)`
 /// for a few strides, so the closure is large and the fixpoint runs
@@ -61,19 +61,6 @@ fn elems(n: usize) -> Instance {
         inst.insert("E", vec![Value::Atom(Atom(i as u32))]);
     }
     inst
-}
-
-/// Best-of-`reps` wall time in milliseconds for `f`, which must return a
-/// result cardinality (used as a cross-check between configurations).
-fn best_of(reps: usize, mut f: impl FnMut() -> usize) -> (f64, usize) {
-    let mut best = f64::INFINITY;
-    let mut n = 0;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        n = f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    (best, n)
 }
 
 fn tc_program() -> Program {
@@ -126,12 +113,9 @@ fn main() {
         for &t in &thread_counts {
             let pool = ThreadPool::new(t);
             let (ms, n) = best_of(reps, || {
-                let mut ev = Evaluator::with_governor(
-                    &inst,
-                    order.clone(),
-                    Governor::new(Limits::unlimited()),
-                )
-                .with_pool(pool.clone());
+                let mut ev =
+                    Evaluator::new(&inst, order.clone(), Governor::new(Limits::unlimited()))
+                        .with_pool(pool.clone());
                 ev.query(&q).expect("tc evaluates").len()
             });
             assert!(results == 0 || results == n, "calc configs disagree");

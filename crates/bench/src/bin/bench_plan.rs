@@ -1,5 +1,5 @@
-//! Compile-to-plan benchmark: per-query wall time of the legacy tree-walk
-//! entry points against planned execution with a cold and a warm plan
+//! Compile-to-plan benchmark: per-query wall time of the tree-walk
+//! engines against planned execution with a cold and a warm plan
 //! cache, on the enumeration-heavy fixtures (TC fixpoint, powerset,
 //! Datalog¬ semi-naive) and the checked-in `data/queries.calc` corpus.
 //!
@@ -26,14 +26,19 @@
 //! planning does the same analysis the tree-walk front end does. All
 //! three columns are asserted to produce identical cardinalities.
 
-#![allow(deprecated)] // benches the legacy shims directly to skip Request plumbing overhead
+//!
+//! Both sides call the engines directly under the session's governor and
+//! worker count, skipping `Session::run`'s parse and render work; the
+//! planned side goes through the session's plan cache.
 
 use nestdb::core::eval::Query;
+use nestdb::core::ranges::safe_eval_pooled;
 use nestdb::datalog::{DTerm, Literal, Program, Strategy};
 use nestdb::object::{Atom, AtomOrder, Instance, RelationSchema, Schema, Type, Universe, Value};
-use nestdb::Session;
+use nestdb::plan::{CalcMode, DatalogMode};
+use nestdb::{Session, ThreadPool};
+use no_bench::best_of;
 use std::path::Path;
-use std::time::Instant;
 
 /// The strided graph from `bench_parallel`: dense enough that TC runs
 /// several fixpoint stages.
@@ -87,19 +92,6 @@ fn tc_program() -> Program {
     p
 }
 
-/// Best-of-`reps` wall time in milliseconds for `f`, which must return a
-/// result cardinality (used as a cross-check between configurations).
-fn best_of(reps: usize, mut f: impl FnMut() -> usize) -> (f64, usize) {
-    let mut best = f64::INFINITY;
-    let mut n = 0;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        n = f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    (best, n)
-}
-
 struct Row {
     name: &'static str,
     results: usize,
@@ -108,7 +100,7 @@ struct Row {
     planned_warm_ms: f64,
 }
 
-/// Run one fixture three ways. `walk` is the legacy entry point;
+/// Run one fixture three ways. `walk` is the tree-walk engine;
 /// `planned` the planned one. Cold clears the session's plan cache before
 /// every repetition, warm primes it once and then only pays cache hits.
 fn bench_row(
@@ -143,6 +135,7 @@ fn main() {
         .unwrap_or(1);
     let reps = 5;
     let session = Session::default();
+    let (gov, pool) = (session.governor(), ThreadPool::new(session.parallelism()));
     let mut rows: Vec<Row> = Vec::new();
 
     // -- CALC TC fixpoint over 48 nodes ---------------------------------
@@ -158,15 +151,16 @@ fn main() {
             &session,
             reps,
             || {
-                session
-                    .eval_calc_safe(&inst, &q)
+                safe_eval_pooled(&inst, &q, gov, &pool)
                     .expect("tc evaluates")
                     .len()
             },
             || {
                 session
-                    .eval_calc_safe_planned(&inst, &q)
+                    .plan_calc(&inst, &q, CalcMode::Safe)
+                    .and_then(|p| Ok(p.execute(&inst, gov, &pool)?))
                     .expect("tc evaluates")
+                    .into_relation()
                     .len()
             },
         ));
@@ -181,15 +175,17 @@ fn main() {
             &session,
             reps,
             || {
-                let (idb, _) = session
-                    .eval_datalog(&p, &inst, Strategy::SemiNaive)
-                    .expect("tc evaluates");
+                let (idb, _) =
+                    nestdb::datalog::eval_pooled(&p, &inst, Strategy::SemiNaive, gov, &pool)
+                        .expect("tc evaluates");
                 idb["tc"].len()
             },
             || {
-                let (idb, _) = session
-                    .eval_datalog_planned(&p, &inst, Strategy::SemiNaive)
-                    .expect("tc evaluates");
+                let idb = session
+                    .plan_datalog(&inst, &p, DatalogMode::SemiNaive)
+                    .and_then(|p| Ok(p.execute(&inst, gov, &pool)?))
+                    .expect("tc evaluates")
+                    .into_idb();
                 idb["tc"].len()
             },
         ));
@@ -204,15 +200,16 @@ fn main() {
             &session,
             reps,
             || {
-                session
-                    .eval_algebra(&expr, &inst)
+                nestdb::algebra::eval_pooled(&expr, &inst, gov, &pool)
                     .expect("powerset evaluates")
                     .len()
             },
             || {
                 session
-                    .eval_algebra_planned(&expr, &inst)
+                    .plan_algebra(&inst, &expr)
+                    .and_then(|p| Ok(p.execute(&inst, gov, &pool)?))
                     .expect("powerset evaluates")
+                    .into_relation()
                     .len()
             },
         ));
@@ -240,7 +237,11 @@ fn main() {
             || {
                 queries
                     .iter()
-                    .map(|q| session.eval_calc_safe(&inst, q).expect("evaluates").len())
+                    .map(|q| {
+                        safe_eval_pooled(&inst, q, gov, &pool)
+                            .expect("evaluates")
+                            .len()
+                    })
                     .sum()
             },
             || {
@@ -248,8 +249,10 @@ fn main() {
                     .iter()
                     .map(|q| {
                         session
-                            .eval_calc_safe_planned(&inst, q)
+                            .plan_calc(&inst, q, CalcMode::Safe)
+                            .and_then(|p| Ok(p.execute(&inst, gov, &pool)?))
                             .expect("evaluates")
+                            .into_relation()
                             .len()
                     })
                     .sum()

@@ -23,6 +23,7 @@
 
 use nestdb::object::{RelationSchema, Type, Value};
 use nestdb::storage::{Db, DbOptions, SyncPolicy};
+use no_bench::best_of;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -69,17 +70,6 @@ fn insert_n(db: &mut Db, n: usize) {
         db.insert("E", vec![Value::Atom(a), Value::Atom(b)])
             .expect("insert edge");
     }
-}
-
-/// Best-of-`reps` wall time in milliseconds for `f`.
-fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    best
 }
 
 struct Row {
@@ -130,7 +120,7 @@ fn main() {
 
         // -- recovery from a folded snapshot (no WAL to replay) ---------
         drop(db);
-        let total_ms = best_of(3, || {
+        let (total_ms, ()) = best_of(3, || {
             let db = Db::open(&scratch.path, DbOptions::default()).expect("reopen");
             assert_eq!(db.open_stats().replayed_frames, 0);
             assert_eq!(db.instance().relation("E").len(), n);
@@ -149,7 +139,7 @@ fn main() {
         insert_n(&mut db, n);
         db.sync().expect("sync before kill");
         drop(db); // no checkpoint: everything lives in the WAL
-        let total_ms = best_of(3, || {
+        let (total_ms, ()) = best_of(3, || {
             let db = Db::open(&scratch.path, DbOptions::default()).expect("reopen");
             assert_eq!(db.instance().relation("E").len(), n);
         });

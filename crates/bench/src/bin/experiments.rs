@@ -7,12 +7,12 @@
 //! cargo run --release -p no-bench --bin experiments -- e2 e7 e8
 //! ```
 
+use minipool::ThreadPool;
 use no_bench::fixtures;
 use no_core::ast::{Formula, Term};
-use no_core::error::EvalConfig;
-use no_core::eval::{active_order, eval_query_with, Env, Evaluator, Query};
+use no_core::eval::{active_order, eval_pooled, Env, Evaluator, Query};
 use no_core::orders::{LtBase, OrderSynth};
-use no_core::ranges::safe_eval;
+use no_core::ranges::safe_eval_pooled;
 use no_core::report::{classify as classify_query, InputAssumption};
 use no_core::{code, parser, print::Printer};
 use no_datalog::{DTerm, Literal, Program, Strategy};
@@ -20,6 +20,8 @@ use no_density::{analysis, families};
 use no_object::domain::{card, DomainIter};
 use no_object::encoding::{domain_size, encode_instance, instance_size};
 use no_object::order::induced_cmp;
+use no_object::Governor;
+use no_object::Limits;
 use no_object::{hyper, AtomOrder, Instance, Type, Universe, Value};
 use no_tm::formula::CompiledSim;
 use no_tm::machine::{Machine, Move};
@@ -297,7 +299,7 @@ fn e6() -> Result<(), String> {
         let mut synth = OrderSynth::new(LtBase::Rel("ltU".into()));
         let formula = synth.less(&ty, Term::var("x"), Term::var("y"));
         let values: Vec<Value> = DomainIter::new(&order, &ty).orfail()?.take(40).collect();
-        let mut ev = Evaluator::new(&instance, order.clone(), EvalConfig::default());
+        let mut ev = Evaluator::new(&instance, order.clone(), Governor::default());
         let t0 = Instant::now();
         let mut agree = 0usize;
         let mut total = 0usize;
@@ -351,6 +353,7 @@ fn e7() -> Result<(), String> {
 
 /// E8 — fixpoint recursion vs powerset recursion (Theorem 4.1(2)'s shape).
 fn e8() -> Result<(), String> {
+    let seq = ThreadPool::sequential();
     header(
         "E8",
         "transitive closure: IFP vs powerset CALC_2^2 vs Datalog",
@@ -381,31 +384,40 @@ fn e8() -> Result<(), String> {
         let g = families::cycle_graph(n);
         let q = fixtures::tc_ifp_query(&Type::Atom);
         let order = active_order(&g.instance, &q);
-        let mut ev = Evaluator::new(&g.instance, order, EvalConfig::default());
+        let mut ev = Evaluator::new(&g.instance, order, Governor::default());
         let t0 = Instant::now();
         let ans = ev.query(&q).orfail()?;
         let ifp_ms = ms(t0);
         let steps = ev.steps_used();
         assert_eq!(ans.len(), n * n);
         let t1 = Instant::now();
-        let _ = no_datalog::eval(&p, &g.instance, Strategy::SemiNaive).orfail()?;
+        let _ = no_datalog::eval_pooled(
+            &p,
+            &g.instance,
+            Strategy::SemiNaive,
+            &Governor::default(),
+            &seq,
+        )
+        .orfail()?;
         let dl_ms = ms(t1);
         let pow = if n <= 3 {
             let t2 = Instant::now();
-            let pans = eval_query_with(
-                &g.instance,
+            let pans = eval_pooled(
                 &fixtures::tc_powerset_query(&Type::Atom),
-                EvalConfig::default(),
+                &g.instance,
+                &Governor::default(),
+                &seq,
             )
             .orfail()?;
             assert_eq!(pans, ans);
             format!("{:.1} ms", ms(t2))
         } else {
             // 2^(n^2) candidate sets: report the refusal instead of hanging
-            match eval_query_with(
-                &g.instance,
+            match eval_pooled(
                 &fixtures::tc_powerset_query(&Type::Atom),
-                EvalConfig::tight(),
+                &g.instance,
+                &Governor::new(Limits::tight()),
+                &seq,
             ) {
                 Err(e) => format!("blows up ({})", short(&e.to_string())),
                 Ok(_) => "unexpectedly finished".into(),
@@ -468,7 +480,7 @@ fn e9() -> Result<(), String> {
     let order4 = AtomOrder::identity(&u4);
     let sim = CompiledSim::compile(&flipper, &order4, 1, "01").orfail()?;
     let t2 = Instant::now();
-    let rel = sim.run(EvalConfig::default()).orfail()?;
+    let rel = sim.run(&Governor::default()).orfail()?;
     let formula_ms = ms(t2);
     let t3 = Instant::now();
     let d = flipper.run("01", 100).orfail()?;
@@ -488,7 +500,7 @@ fn e9() -> Result<(), String> {
     // ever holds the current configuration
     let pfp = no_tm::formula_pfp::CompiledPfpSim::compile(&flipper, &order4, 1, "01").orfail()?;
     let t4 = Instant::now();
-    let pfp_rel = pfp.run(EvalConfig::default()).orfail()?;
+    let pfp_rel = pfp.run(&Governor::default()).orfail()?;
     println!(
         "  CALC+PFP      : {} rows (no timestamps), {:.2} ms, output {:?}",
         pfp_rel.len(),
@@ -509,6 +521,7 @@ fn e9() -> Result<(), String> {
 
 /// E10 — Theorem 5.1: safe evaluation vs active-domain evaluation.
 fn e10() -> Result<(), String> {
+    let seq = ThreadPool::sequential();
     header(
         "E10",
         "range-restricted (safe) vs active-domain evaluation of nest",
@@ -529,11 +542,11 @@ fn e10() -> Result<(), String> {
         }
         let q = fixtures::nest_query();
         let t0 = Instant::now();
-        let safe = safe_eval(&i, &q, EvalConfig::default()).orfail()?;
+        let safe = safe_eval_pooled(&i, &q, &Governor::default(), &seq).orfail()?;
         let safe_ms = ms(t0);
         let (active_ms, active_len) = {
             let t1 = Instant::now();
-            match eval_query_with(&i, &q, EvalConfig::default()) {
+            match eval_pooled(&q, &i, &Governor::default(), &seq) {
                 Ok(ans) => (format!("{:.2}", ms(t1)), ans.len().to_string()),
                 Err(e) => (format!("{:.2}", ms(t1)), short(&e.to_string())),
             }
@@ -573,7 +586,7 @@ fn e11() -> Result<(), String> {
         // 2^n sets, so this dies quickly; report the blowup as data
         let q = fixtures::tc_ifp_query(&su);
         let order = active_order(&g.instance, &q);
-        let mut ev = Evaluator::new(&g.instance, order, EvalConfig::default());
+        let mut ev = Evaluator::new(&g.instance, order, Governor::default());
         let nested = match ev.query(&q) {
             Ok(ans) => Some(ans),
             Err(e) => {
@@ -608,7 +621,7 @@ fn e11() -> Result<(), String> {
         }
         let qf = fixtures::tc_ifp_query(&Type::Atom);
         let order_f = active_order(&encoded, &qf);
-        let mut evf = Evaluator::new(&encoded, order_f, EvalConfig::default());
+        let mut evf = Evaluator::new(&encoded, order_f, Governor::default());
         let flat = evf.query(&qf).orfail()?;
         let flat_steps = evf.steps_used();
         // decode and compare
@@ -679,13 +692,13 @@ fn e12() -> Result<(), String> {
         let dense = families::subset_family(n);
         let qd = dominated("R");
         let od = active_order(&dense.instance, &qd);
-        let mut evd = Evaluator::new(&dense.instance, od, EvalConfig::default());
+        let mut evd = Evaluator::new(&dense.instance, od, Governor::default());
         evd.query(&qd).orfail()?;
         let dsteps = evd.steps_used();
         let sparse = families::bounded_enrollment_family(n, 1);
         let qs = dominated("Takes");
         let os = active_order(&sparse.instance, &qs);
-        let mut evs = Evaluator::new(&sparse.instance, os, EvalConfig::default());
+        let mut evs = Evaluator::new(&sparse.instance, os, Governor::default());
         evs.query(&qs).orfail()?;
         let ssteps = evs.steps_used();
         let dc = dense.instance.cardinality();
@@ -711,10 +724,11 @@ fn e13() -> Result<(), String> {
         ("path P5", families::path_graph(5), true),
     ] {
         let t0 = Instant::now();
-        let ans = eval_query_with(
-            &g.instance,
+        let ans = eval_pooled(
             &fixtures::bipartite_query(),
-            EvalConfig::default(),
+            &g.instance,
+            &Governor::default(),
+            &ThreadPool::sequential(),
         )
         .orfail()?;
         println!(
@@ -738,6 +752,7 @@ fn e13() -> Result<(), String> {
 
 /// E14 — Example 3.1's three transitive-closure formulations.
 fn e14() -> Result<(), String> {
+    let seq = ThreadPool::sequential();
     header(
         "E14",
         "Example 3.1: three formulations of transitive closure",
@@ -746,7 +761,7 @@ fn e14() -> Result<(), String> {
     let g = families::nested_path_graph(4);
     // 1: predicate application (CALC_1 + IFP)
     let q1 = fixtures::tc_ifp_query(&su);
-    let a1 = eval_query_with(&g.instance, &q1, EvalConfig::default()).orfail()?;
+    let a1 = eval_pooled(&q1, &g.instance, &Governor::default(), &seq).orfail()?;
     println!("predicate form: {} closure pairs", a1.len());
     // 2: fixpoint as term (CALC_2^2 + IFP)
     let fix = fixtures::tc_fixpoint(&su);
@@ -755,7 +770,7 @@ fn e14() -> Result<(), String> {
         vec![("w".into(), Type::set(pair))],
         Formula::Eq(Term::var("w"), Term::Fix(fix.clone())),
     );
-    let a2 = safe_eval(&g.instance, &q2, EvalConfig::default()).orfail()?;
+    let a2 = safe_eval_pooled(&g.instance, &q2, &Governor::default(), &seq).orfail()?;
     let row = a2.sorted_rows()[0].clone();
     let Value::Set(s) = &row[0] else {
         return Err("expected a set-valued answer column".to_string());
@@ -773,7 +788,7 @@ fn e14() -> Result<(), String> {
             ]),
         ),
     );
-    let a3 = eval_query_with(&g.instance, &q3, EvalConfig::default()).orfail()?;
+    let a3 = eval_pooled(&q3, &g.instance, &Governor::default(), &seq).orfail()?;
     println!(
         "cycle-nodes form on a path: {} nodes (expected 0)",
         a3.len()
@@ -784,7 +799,7 @@ fn e14() -> Result<(), String> {
         i.insert("G", vec![node(3), node(0)]);
         i
     };
-    let a3c = eval_query_with(&cyc, &q3, EvalConfig::default()).orfail()?;
+    let a3c = eval_pooled(&q3, &cyc, &Governor::default(), &seq).orfail()?;
     println!(
         "cycle-nodes form on the closed cycle: {} nodes (expected 4)",
         a3c.len()
@@ -858,7 +873,7 @@ fn e15() -> Result<(), String> {
         );
         let order = active_order(&g.instance, &q);
         let size = instance_size(&order, &g.instance);
-        let mut ev = Evaluator::new(&g.instance, order, EvalConfig::default());
+        let mut ev = Evaluator::new(&g.instance, order, Governor::default());
         let t0 = Instant::now();
         let _ = ev.query(&q).orfail()?;
         println!("{n:>3} {size:>8} {:>14} {:>12.1}", ev.steps_used(), ms(t0));
@@ -872,7 +887,12 @@ fn e15() -> Result<(), String> {
             body,
         ]),
     );
-    match eval_query_with(&g.instance, &q, EvalConfig::tight()) {
+    match eval_pooled(
+        &q,
+        &g.instance,
+        &Governor::new(Limits::tight()),
+        &ThreadPool::sequential(),
+    ) {
         Err(e) => println!("  n=4: {e}"),
         Ok(_) => println!("  n=4: unexpectedly finished"),
     }
@@ -909,11 +929,12 @@ fn e16() -> Result<(), String> {
 /// E17 — Section 3's semantics choice, demonstrated: inflationary and
 /// stratified Datalog¬ genuinely differ on negation-through-recursion.
 fn e17() -> Result<(), String> {
+    let seq = ThreadPool::sequential();
     header(
         "E17",
         "inflationary vs stratified Datalog¬ (Section 3's choice)",
     );
-    use no_datalog::{eval as dl_eval, eval_stratified, DTerm as D, Literal as L, Program};
+    use no_datalog::{eval_pooled, eval_stratified_pooled, DTerm as D, Literal as L, Program};
     let g = families::path_graph(4);
     let mut p = Program::new();
     p.declare("tc", vec![Type::Atom, Type::Atom]);
@@ -951,8 +972,16 @@ fn e17() -> Result<(), String> {
             L::Neg("tc".into(), vec![D::var("x"), D::var("y")]),
         ],
     );
-    let (inflationary, _) = dl_eval(&p, &g.instance, no_datalog::Strategy::Naive).orfail()?;
-    let stratified = eval_stratified(&p, &g.instance).orfail()?;
+    let (inflationary, _) = eval_pooled(
+        &p,
+        &g.instance,
+        no_datalog::Strategy::Naive,
+        &Governor::default(),
+        &seq,
+    )
+    .orfail()?;
+    let stratified =
+        eval_stratified_pooled(&p, &g.instance, &Governor::default(), &seq).orfail()?;
     println!("path a0→a1→a2→a3, tc = {} pairs", inflationary["tc"].len());
     println!(
         "unreach: inflationary = {} pairs, stratified = {} pairs",

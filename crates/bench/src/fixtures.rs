@@ -226,24 +226,28 @@ pub fn figure1_instance() -> (Universe, AtomOrder, Instance) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use no_core::error::EvalConfig;
-    use no_core::eval::eval_query_with;
+    use minipool::ThreadPool;
+    use no_core::eval::eval_pooled;
     use no_density::families;
+    use no_object::Governor;
 
     #[test]
     fn powerset_tc_agrees_with_ifp_tc_on_tiny_graphs() {
+        let seq = ThreadPool::sequential();
         for n in 2..=3 {
             let g = families::path_graph(n);
-            let ifp = eval_query_with(
-                &g.instance,
+            let ifp = eval_pooled(
                 &tc_ifp_query(&Type::Atom),
-                EvalConfig::default(),
+                &g.instance,
+                &Governor::default(),
+                &seq,
             )
             .unwrap();
-            let pow = eval_query_with(
-                &g.instance,
+            let pow = eval_pooled(
                 &tc_powerset_query(&Type::Atom),
-                EvalConfig::default(),
+                &g.instance,
+                &Governor::default(),
+                &seq,
             )
             .unwrap();
             assert_eq!(ifp, pow, "n = {n}");
@@ -252,14 +256,25 @@ mod tests {
 
     #[test]
     fn bipartite_query_classifies() {
+        let seq = ThreadPool::sequential();
         // even cycle: bipartite → answer = G; odd cycle: empty
         let even = families::cycle_graph(4);
-        let ans =
-            eval_query_with(&even.instance, &bipartite_query(), EvalConfig::default()).unwrap();
+        let ans = eval_pooled(
+            &bipartite_query(),
+            &even.instance,
+            &Governor::default(),
+            &seq,
+        )
+        .unwrap();
         assert_eq!(ans.len(), 4);
         let odd = families::cycle_graph(5);
-        let ans =
-            eval_query_with(&odd.instance, &bipartite_query(), EvalConfig::default()).unwrap();
+        let ans = eval_pooled(
+            &bipartite_query(),
+            &odd.instance,
+            &Governor::default(),
+            &seq,
+        )
+        .unwrap();
         assert_eq!(ans.len(), 0);
     }
 
@@ -279,7 +294,13 @@ mod tests {
         let mut i = Instance::empty(pair_schema());
         i.insert("P", vec![Value::Atom(a), Value::Atom(b)]);
         i.insert("P", vec![Value::Atom(a), Value::Atom(c)]);
-        let ans = no_core::ranges::safe_eval(&i, &nest_query(), EvalConfig::default()).unwrap();
+        let ans = no_core::ranges::safe_eval_pooled(
+            &i,
+            &nest_query(),
+            &Governor::default(),
+            &ThreadPool::sequential(),
+        )
+        .unwrap();
         assert_eq!(ans.len(), 1);
     }
 }

@@ -24,22 +24,22 @@
 //! additionally:
 //!
 //! 1. records a *held-while-acquiring* edge into the global
-//!    [lock-order graph](lockdep) (lockdep-style, keyed by lock *class* —
+//!    lock-order graph (`lockdep`, lockdep-style, keyed by lock *class* —
 //!    the `&'static str` passed to [`Mutex::new_named`]); and
 //! 2. if the current thread is registered with an active
-//!    [schedule exploration](sched), becomes a *scheduling point*: the
+//!    schedule exploration (`sched`), becomes a *scheduling point*: the
 //!    thread parks until the deterministic scheduler picks it, so every
 //!    interleaving of instrumented operations can be driven, replayed,
 //!    and exhaustively enumerated.
 //!
 //! ## Layer 2 — the analyses
 //!
-//! * [`lockdep`] accumulates acquisition-order edges across an entire
+//! * `lockdep` accumulates acquisition-order edges across an entire
 //!   test-suite run and reports any cycle as a structured `CC001`
 //!   diagnostic carrying both witness chains (who held what, acquired
 //!   where). A potential deadlock is reported even if no schedule ever
 //!   actually deadlocks.
-//! * [`sched`] is a bounded deterministic model checker: it serialises
+//! * `sched` is a bounded deterministic model checker: it serialises
 //!   the threads of a closed scenario, drives every scheduling point from
 //!   either a seeded PRNG (PCT-style random schedules, re-runnable from
 //!   the printed seed) or an exhaustive small-preemption-bound DFS, and

@@ -1,85 +1,22 @@
-//! Evaluation errors and resource budgets.
+//! Evaluation errors.
 //!
 //! Evaluating CALC over complex objects can be hyperexponential in the
 //! input (that is the paper's point). The engine therefore treats blowups
 //! as *first-class errors*: every quantifier range and every step of work
-//! is budgeted, and exceeding a budget returns a structured error instead
-//! of consuming unbounded time or memory.
+//! is budgeted by the shared [`no_object::Governor`], and exceeding a
+//! budget returns a structured error instead of consuming unbounded time
+//! or memory.
 
-use no_object::governor::{Governor, Limits, ResourceError};
+use no_object::governor::ResourceError;
 use no_object::{DomainError, Nat, Type};
 use std::fmt;
-use std::time::Duration;
-
-/// Resource budgets for one evaluation — a thin constructor over the
-/// shared [`Governor`]: call [`EvalConfig::governor`] to start enforcing,
-/// or hand the config to an evaluator which does so internally.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EvalConfig {
-    /// Maximum cardinality a single quantifier (or head variable, or
-    /// fixpoint column product) may range over.
-    pub max_range: u64,
-    /// Total step budget: each formula-node evaluation costs one step.
-    pub max_steps: u64,
-    /// Maximum number of fixpoint iterations before IFP is declared stuck
-    /// (cannot happen — IFP converges within the range product — but kept
-    /// as a defensive bound) or PFP is declared divergent.
-    pub max_fixpoint_iters: u64,
-    /// Approximate bytes of materialised tuples/domains allowed
-    /// (`u64::MAX` = unlimited).
-    pub max_memory_bytes: u64,
-    /// Wall-clock allowance for the whole evaluation (`None` = unlimited).
-    pub deadline: Option<Duration>,
-}
-
-impl Default for EvalConfig {
-    fn default() -> Self {
-        EvalConfig {
-            max_range: 1 << 22,
-            max_steps: 200_000_000,
-            max_fixpoint_iters: 1_000_000,
-            max_memory_bytes: u64::MAX,
-            deadline: None,
-        }
-    }
-}
-
-impl EvalConfig {
-    /// A small-budget configuration for tests that *expect* blowup.
-    pub fn tight() -> Self {
-        EvalConfig {
-            max_range: 1 << 12,
-            max_steps: 2_000_000,
-            max_fixpoint_iters: 10_000,
-            max_memory_bytes: 64 << 20,
-            deadline: None,
-        }
-    }
-
-    /// The governor limits this config describes.
-    pub fn limits(&self) -> Limits {
-        Limits {
-            max_steps: self.max_steps,
-            max_range: self.max_range,
-            max_fixpoint_iters: self.max_fixpoint_iters,
-            max_memory_bytes: self.max_memory_bytes,
-            deadline: self.deadline,
-        }
-    }
-
-    /// Start a fresh [`Governor`] enforcing these budgets (the deadline
-    /// clock starts now).
-    pub fn governor(&self) -> Governor {
-        Governor::new(self.limits())
-    }
-}
 
 /// An evaluation failure.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EvalError {
     /// Domain arithmetic failed (cardinality over the global cap).
     Domain(DomainError),
-    /// A quantifier range exceeded [`EvalConfig::max_range`].
+    /// A quantifier range exceeded [`no_object::Limits::max_range`].
     RangeTooLarge {
         /// The variable whose range blew up.
         var: String,
@@ -180,12 +117,5 @@ mod tests {
         let d = DomainError::TooLarge { ty: Type::Atom };
         let e: EvalError = d.clone().into();
         assert_eq!(e, EvalError::Domain(d));
-    }
-
-    #[test]
-    fn default_config_is_generous() {
-        let c = EvalConfig::default();
-        assert!(c.max_range > EvalConfig::tight().max_range);
-        assert!(c.max_steps > EvalConfig::tight().max_steps);
     }
 }

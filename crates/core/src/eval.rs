@@ -14,7 +14,7 @@
 //! quantifier is not recomputed per binding.
 
 use crate::ast::{FixOp, Fixpoint, Formula, Term, VarName};
-use crate::error::{EvalConfig, EvalError};
+use crate::error::EvalError;
 use minipool::ThreadPool;
 use no_object::domain::{card, DomainIter};
 use no_object::governor::Governor;
@@ -168,17 +168,11 @@ pub struct Evaluator<'a> {
 }
 
 impl<'a> Evaluator<'a> {
-    /// Create an evaluator with the given atom enumeration and budgets
-    /// (starts a fresh [`Governor`] from the config).
-    pub fn new(instance: &'a Instance, order: AtomOrder, config: EvalConfig) -> Self {
-        Evaluator::with_governor(instance, order, config.governor())
-    }
-
-    /// Create an evaluator drawing from an existing shared [`Governor`] —
-    /// nested evaluations (range computation, stratified sub-queries)
-    /// share one budget this way instead of each getting a fresh
-    /// allowance.
-    pub fn with_governor(instance: &'a Instance, order: AtomOrder, governor: Governor) -> Self {
+    /// Create an evaluator with the given atom enumeration, drawing from
+    /// a shared [`Governor`] — nested evaluations (range computation,
+    /// stratified sub-queries) share one budget this way instead of each
+    /// getting a fresh allowance.
+    pub fn new(instance: &'a Instance, order: AtomOrder, governor: Governor) -> Self {
         Evaluator {
             instance,
             order,
@@ -440,7 +434,7 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Truth of a formula under the environment (boundary API; see
-    /// [`Evaluator::holds_i`] for the id-level loop).
+    /// `Evaluator::holds_i` for the id-level loop).
     pub fn holds(&mut self, f: &Formula, env: &mut Env) -> Result<bool, EvalError> {
         let mut ienv = self.intern_env(env);
         self.holds_i(f, &mut ienv)
@@ -595,7 +589,7 @@ impl<'a> Evaluator<'a> {
     /// (Definition 3.1), memoised by `Arc` identity and scope context: the
     /// same fixpoint applied repeatedly in one scope (e.g. under a
     /// quantifier, once per binding) is computed once. Boundary API — the
-    /// id-level engine uses [`Evaluator::eval_fixpoint_i`] and never
+    /// id-level engine uses `Evaluator::eval_fixpoint_i` and never
     /// resolves.
     pub fn eval_fixpoint(&mut self, fix: &Arc<Fixpoint>) -> Result<Arc<Relation>, EvalError> {
         let key = (
@@ -720,28 +714,26 @@ fn collect_closed_fixpoints(f: &Formula, out: &mut Vec<Arc<Fixpoint>>) {
     }
 }
 
-/// Evaluate `query` on `instance` under the active-domain semantics with
-/// default budgets — the library's front door for simple uses.
-pub fn eval_query(instance: &Instance, query: &Query) -> Result<Relation, EvalError> {
-    let order = active_order(instance, query);
-    Evaluator::new(instance, order, EvalConfig::default()).query(query)
-}
-
-/// As [`eval_query`] but with explicit budgets.
-pub fn eval_query_with(
-    instance: &Instance,
+/// Evaluate `query` on `instance` under the active-domain semantics,
+/// drawing from `governor` and fanning the quantifier enumeration out over
+/// `pool` (see [`Evaluator::with_pool`]).
+pub fn eval_pooled(
     query: &Query,
-    config: EvalConfig,
+    instance: &Instance,
+    governor: &Governor,
+    pool: &ThreadPool,
 ) -> Result<Relation, EvalError> {
     let order = active_order(instance, query);
-    Evaluator::new(instance, order, config).query(query)
+    Evaluator::new(instance, order, governor.clone())
+        .with_pool(pool.clone())
+        .query(query)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ast::FixOp;
-    use no_object::{RelationSchema, Schema, Universe};
+    use no_object::{Limits, RelationSchema, Schema, Universe};
 
     /// A small atom-typed graph instance: edges as pairs of atoms.
     fn graph(edges: &[(&str, &str)]) -> (Universe, Instance) {
@@ -754,6 +746,11 @@ mod tests {
             i.insert("G", vec![Value::Atom(a), Value::Atom(b)]);
         }
         (u, i)
+    }
+
+    /// Active-domain evaluation under a fresh governor.
+    fn run(i: &Instance, q: &Query, limits: Limits) -> Result<Relation, EvalError> {
+        eval_pooled(q, i, &Governor::new(limits), &ThreadPool::sequential())
     }
 
     fn tc_fixpoint() -> Arc<Fixpoint> {
@@ -782,7 +779,7 @@ mod tests {
             vec![("x".into(), Type::Atom), ("y".into(), Type::Atom)],
             Formula::Rel("G".into(), vec![Term::var("x"), Term::var("y")]),
         );
-        let ans = eval_query(&i, &q).unwrap();
+        let ans = run(&i, &q, Limits::default()).unwrap();
         assert_eq!(ans.len(), 2);
     }
 
@@ -793,7 +790,7 @@ mod tests {
             vec![("u".into(), Type::Atom), ("v".into(), Type::Atom)],
             Formula::FixApp(tc_fixpoint(), vec![Term::var("u"), Term::var("v")]),
         );
-        let ans = eval_query(&i, &q).unwrap();
+        let ans = run(&i, &q, Limits::default()).unwrap();
         // closure of a path a→b→c→d: 3+2+1 = 6 pairs
         assert_eq!(ans.len(), 6);
         let a = Value::Atom(u.get("a").unwrap());
@@ -810,7 +807,7 @@ mod tests {
             vec![("w".into(), Type::set(pair))],
             Formula::Eq(Term::var("w"), Term::Fix(tc_fixpoint())),
         );
-        let ans = eval_query_with(&i, &q, EvalConfig::default()).unwrap();
+        let ans = run(&i, &q, Limits::default()).unwrap();
         assert_eq!(ans.len(), 1);
         let row = ans.sorted_rows()[0].clone();
         match &row[0] {
@@ -834,7 +831,7 @@ mod tests {
                 ]),
             ),
         );
-        let ans = eval_query(&i, &q).unwrap();
+        let ans = run(&i, &q, Limits::default()).unwrap();
         assert_eq!(ans.len(), 2);
         assert!(ans.contains(&[Value::Atom(u.get("a").unwrap())]));
         assert!(ans.contains(&[Value::Atom(u.get("b").unwrap())]));
@@ -851,7 +848,7 @@ mod tests {
             Formula::forall("x", Type::Atom, Formula::In(Term::var("x"), Term::var("X"))),
         );
         let order = AtomOrder::new(i.atoms().into_iter().collect());
-        let mut ev = Evaluator::new(&i, order, EvalConfig::default());
+        let mut ev = Evaluator::new(&i, order, Governor::default());
         assert!(ev.holds(&sentence, &mut Env::new()).unwrap());
     }
 
@@ -869,7 +866,7 @@ mod tests {
         let mut ranges = RangeMap::new();
         ranges.insert("x".into(), vec![Value::Atom(u.get("a").unwrap())]);
         let order = active_order(&i, &q);
-        let mut ev = Evaluator::new(&i, order, EvalConfig::default()).with_ranges(ranges);
+        let mut ev = Evaluator::new(&i, order, Governor::default()).with_ranges(ranges);
         let ans = ev.query(&q).unwrap();
         // only x = a is ever tried
         assert_eq!(ans.len(), 1);
@@ -883,7 +880,7 @@ mod tests {
             vec![("X".into(), Type::set(Type::set(Type::Atom)))],
             Formula::Eq(Term::var("X"), Term::var("X")),
         );
-        match eval_query_with(&i, &q, EvalConfig::tight()) {
+        match run(&i, &q, Limits::tight()) {
             Err(EvalError::RangeTooLarge { var, .. }) => assert_eq!(var, "X"),
             other => panic!("expected RangeTooLarge, got {other:?}"),
         }
@@ -896,11 +893,11 @@ mod tests {
             vec![("x".into(), Type::Atom), ("y".into(), Type::Atom)],
             Formula::FixApp(tc_fixpoint(), vec![Term::var("x"), Term::var("y")]),
         );
-        let cfg = EvalConfig {
+        let cfg = Limits {
             max_steps: 50,
-            ..EvalConfig::default()
+            ..Limits::default()
         };
-        match eval_query_with(&i, &q, cfg) {
+        match run(&i, &q, cfg) {
             Err(EvalError::Resource(e)) => {
                 assert_eq!(e.budget, no_object::BudgetKind::Steps);
                 assert_eq!(e.limit, 50);
@@ -936,7 +933,7 @@ mod tests {
         ranges.insert("x".into(), vec![big.clone()]);
         ranges.insert("y".into(), vec![big.clone()]);
         let order = active_order(&i, &q);
-        let mut ev = Evaluator::new(&i, order, EvalConfig::default()).with_ranges(ranges);
+        let mut ev = Evaluator::new(&i, order, Governor::default()).with_ranges(ranges);
         let ans = ev.query(&q).unwrap();
         assert_eq!(ans.len(), 1);
         let first = ev.governor().mem_spent();
@@ -964,7 +961,7 @@ mod tests {
             vec![("x".into(), Type::Atom), ("y".into(), Type::Atom)],
             Formula::FixApp(fix, vec![Term::var("x"), Term::var("y")]),
         );
-        let ans = eval_query(&i, &q).unwrap();
+        let ans = run(&i, &q, Limits::default()).unwrap();
         assert_eq!(ans.len(), 3);
     }
 
@@ -982,7 +979,7 @@ mod tests {
             vec![("x".into(), Type::Atom)],
             Formula::FixApp(fix, vec![Term::var("x")]),
         );
-        match eval_query(&i, &q) {
+        match run(&i, &q, Limits::default()) {
             Err(EvalError::PfpDiverged { rel, .. }) => assert_eq!(rel, "S"),
             other => panic!("expected PfpDiverged, got {other:?}"),
         }
@@ -1000,10 +997,10 @@ mod tests {
         let mut rev = atoms.clone();
         rev.reverse();
         let o2 = AtomOrder::new(rev);
-        let a1 = Evaluator::new(&i, o1, EvalConfig::default())
+        let a1 = Evaluator::new(&i, o1, Governor::default())
             .query(&q)
             .unwrap();
-        let a2 = Evaluator::new(&i, o2, EvalConfig::default())
+        let a2 = Evaluator::new(&i, o2, Governor::default())
             .query(&q)
             .unwrap();
         assert_eq!(a1, a2);
@@ -1013,7 +1010,7 @@ mod tests {
     fn subset_and_iff_semantics() {
         let (_u, i) = graph(&[("a", "b")]);
         let order = AtomOrder::new(i.atoms().into_iter().collect());
-        let mut ev = Evaluator::new(&i, order, EvalConfig::default());
+        let mut ev = Evaluator::new(&i, order, Governor::default());
         // {a0} ⊆ {a0, a1} and not conversely
         let small = Value::set([Value::Atom(no_object::Atom(0))]);
         let big = Value::set([
@@ -1056,7 +1053,7 @@ mod tests {
             vec![("x".into(), Type::Atom)],
             Formula::Eq(Term::var("x"), Term::Const(Value::Atom(ghost))),
         );
-        let ans = eval_query(&i, &q).unwrap();
+        let ans = run(&i, &q, Limits::default()).unwrap();
         assert_eq!(ans.len(), 1);
         assert!(ans.contains(&[Value::Atom(ghost)]));
     }
@@ -1088,7 +1085,7 @@ mod tests {
                 ]),
             ),
         );
-        let ans = eval_query(&i, &q).unwrap();
+        let ans = run(&i, &q, Limits::default()).unwrap();
         assert_eq!(ans.len(), 1);
         assert!(ans.contains(&[Value::Atom(b)]));
     }
@@ -1109,12 +1106,12 @@ mod tests {
             ),
         );
         let order = active_order(&i, &q);
-        let mut ev = Evaluator::new(&i, order.clone(), EvalConfig::default());
+        let mut ev = Evaluator::new(&i, order.clone(), Governor::default());
         let ans = ev.query(&q).unwrap();
         assert_eq!(ans.len(), 3); // a, b, c have successors
         let with_cache = ev.steps_used();
         // baseline: one standalone fixpoint computation
-        let mut solo = Evaluator::new(&i, order, EvalConfig::default());
+        let mut solo = Evaluator::new(&i, order, Governor::default());
         let _ = solo.eval_fixpoint(&tc_fixpoint()).unwrap();
         let one_compute = solo.steps_used();
         // 16 outer bindings share one computation: the full query must cost
@@ -1134,11 +1131,11 @@ mod tests {
             vec![("u".into(), Type::Atom), ("v".into(), Type::Atom)],
             Formula::FixApp(tc_fixpoint(), vec![Term::var("u"), Term::var("v")]),
         );
-        let seq = eval_query(&i, &q).unwrap();
+        let seq = run(&i, &q, Limits::default()).unwrap();
         for threads in [2, 4, 8] {
             let order = active_order(&i, &q);
-            let mut ev = Evaluator::new(&i, order, EvalConfig::default())
-                .with_pool(ThreadPool::new(threads));
+            let mut ev =
+                Evaluator::new(&i, order, Governor::default()).with_pool(ThreadPool::new(threads));
             let par = ev.query(&q).unwrap();
             assert_eq!(par, seq, "parallelism {threads} diverged");
         }
@@ -1163,9 +1160,9 @@ mod tests {
                 ]),
             ),
         );
-        let seq = eval_query(&i, &q).unwrap();
+        let seq = run(&i, &q, Limits::default()).unwrap();
         let order = active_order(&i, &q);
-        let mut ev = Evaluator::new(&i, order, EvalConfig::default()).with_pool(ThreadPool::new(4));
+        let mut ev = Evaluator::new(&i, order, Governor::default()).with_pool(ThreadPool::new(4));
         assert_eq!(ev.query(&q).unwrap(), seq);
     }
 
@@ -1177,7 +1174,7 @@ mod tests {
             Formula::Rel("H".into(), vec![Term::var("x")]),
         );
         assert!(matches!(
-            eval_query(&i, &q),
+            run(&i, &q, Limits::default()),
             Err(EvalError::UnknownRelation(_))
         ));
     }

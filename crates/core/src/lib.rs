@@ -7,8 +7,9 @@
 //! # Example
 //!
 //! ```
-//! use no_core::{eval_query_with, parse_query, EvalConfig};
-//! use no_object::{Instance, RelationSchema, Schema, Type, Universe, Value};
+//! use minipool::ThreadPool;
+//! use no_core::{eval_pooled, parse_query};
+//! use no_object::{Governor, Instance, RelationSchema, Schema, Type, Universe, Value};
 //!
 //! // a graph database G[U, U]
 //! let mut universe = Universe::new();
@@ -25,7 +26,7 @@
 //!     "{[u:U, v:U] | ifp(S; x:U, y:U | G(x, y) \\/ exists z:U (S(x, z) /\\ G(z, y)))(u, v)}",
 //!     &mut universe,
 //! ).unwrap();
-//! let closure = eval_query_with(&db, &q, EvalConfig::default()).unwrap();
+//! let closure = eval_pooled(&q, &db, &Governor::default(), &ThreadPool::sequential()).unwrap();
 //! assert_eq!(closure.len(), 3); // ab, bc, ac
 //! ```
 
@@ -47,8 +48,8 @@ pub mod rr;
 pub mod typeck;
 
 pub use ast::{FixOp, Fixpoint, Formula, RelName, SpanTable, Term, VarName};
-pub use error::{EvalConfig, EvalError};
-pub use eval::{eval_query, eval_query_with, Env, Evaluator, Query, RangeMap};
+pub use error::EvalError;
+pub use eval::{eval_pooled, Env, Evaluator, Query, RangeMap};
 pub use parser::{
     parse_formula, parse_formula_spanned, parse_query, parse_query_spanned, parse_type, ParseError,
 };

@@ -244,9 +244,8 @@ pub fn metrics(f: &Formula) -> Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::EvalConfig;
     use crate::eval::{Env, Evaluator};
-    use no_object::{AtomOrder, Instance, RelationSchema, Schema, Universe, Value};
+    use no_object::{AtomOrder, Governor, Instance, RelationSchema, Schema, Universe, Value};
     use proptest::prelude::*;
 
     fn g(x: &str, y: &str) -> Formula {
@@ -367,7 +366,7 @@ mod tests {
         let renamed = rename_apart(&f, &mut taken);
         assert_ne!(renamed, f);
         let (order, i) = graph(&[(0, 1), (1, 2), (2, 0)]);
-        let mut ev = Evaluator::new(&i, order, EvalConfig::default());
+        let mut ev = Evaluator::new(&i, order, Governor::default());
         for a in 0..3u32 {
             let mut env = Env::new();
             env.push("z0", Value::Atom(no_object::Atom(a)));
@@ -457,7 +456,7 @@ mod tests {
                 simplify(&f),
                 prenex(&f).to_formula(),
             ];
-            let mut ev = Evaluator::new(&i, order.clone(), EvalConfig::default());
+            let mut ev = Evaluator::new(&i, order.clone(), Governor::default());
             for a in 0..3u32 {
                 let mut env = Env::new();
                 env.push("z0", Value::Atom(no_object::Atom(a)));

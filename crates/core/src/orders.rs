@@ -232,11 +232,10 @@ pub fn postulate_order(var: impl Into<String>, body: Formula) -> Formula {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::EvalConfig;
     use crate::eval::{Env, Evaluator};
     use no_object::domain::DomainIter;
     use no_object::order::induced_cmp;
-    use no_object::{AtomOrder, Instance, RelationSchema, Schema, Universe, Value};
+    use no_object::{AtomOrder, Governor, Instance, RelationSchema, Schema, Universe, Value};
     use std::cmp::Ordering;
 
     /// Instance holding the strict order on 3 atoms as relation "ltU".
@@ -269,7 +268,7 @@ mod tests {
         let (_u, order, i) = ordered_instance();
         let mut synth = OrderSynth::new(LtBase::Rel("ltU".into()));
         let formula = synth.less(ty, Term::var("x"), Term::var("y"));
-        let mut ev = Evaluator::new(&i, order.clone(), EvalConfig::default());
+        let mut ev = Evaluator::new(&i, order.clone(), Governor::default());
         let mut values: Vec<Value> = DomainIter::new(&order, ty).unwrap().collect();
         if values.len() > 32 {
             values = values.into_iter().step_by(13).collect();
@@ -330,7 +329,7 @@ mod tests {
             .map(|row| Value::tuple(row.clone()))
             .collect();
         let lt_value = Value::set(pairs);
-        let mut ev = Evaluator::new(&i, order.clone(), EvalConfig::default());
+        let mut ev = Evaluator::new(&i, order.clone(), Governor::default());
         for a in 0..3u32 {
             for b in 0..3u32 {
                 let mut env = Env::new();
@@ -349,7 +348,7 @@ mod tests {
         let mut synth = OrderSynth::new(LtBase::Rel("ltU".into()));
         let is_min = synth.is_minimum(&ty, Term::var("x"));
         let is_succ = synth.is_successor(&ty, Term::var("x"), Term::var("y"));
-        let mut ev = Evaluator::new(&i, order.clone(), EvalConfig::default());
+        let mut ev = Evaluator::new(&i, order.clone(), Governor::default());
         let values: Vec<Value> = DomainIter::new(&order, &ty).unwrap().collect();
         for (idx, v) in values.iter().enumerate() {
             let mut env = Env::new();
@@ -379,7 +378,7 @@ mod tests {
         let (_u, order, i) = ordered_instance();
         let mut synth = OrderSynth::new(LtBase::Rel("ltU".into()));
         let f = synth.is_max_in(&Type::Atom, Term::var("s"), Term::var("m"));
-        let mut ev = Evaluator::new(&i, order.clone(), EvalConfig::default());
+        let mut ev = Evaluator::new(&i, order.clone(), Governor::default());
         let s = Value::set([
             Value::Atom(no_object::Atom(0)),
             Value::Atom(no_object::Atom(2)),
@@ -397,7 +396,7 @@ mod tests {
         let (_u, order, i) = ordered_instance();
         let mut synth = OrderSynth::new(LtBase::Rel("ltU".into()));
         let axiom = order_axiom(&mut synth);
-        let mut ev = Evaluator::new(&i, order.clone(), EvalConfig::default());
+        let mut ev = Evaluator::new(&i, order.clone(), Governor::default());
         assert!(ev.holds(&axiom, &mut Env::new()).unwrap());
         // break the order: drop transitive closure pair (a,c)
         let schema = i.schema().clone();
@@ -416,7 +415,7 @@ mod tests {
                 Value::Atom(no_object::Atom(2)),
             ],
         );
-        let mut ev2 = Evaluator::new(&broken, order, EvalConfig::default());
+        let mut ev2 = Evaluator::new(&broken, order, Governor::default());
         assert!(!ev2.holds(&axiom, &mut Env::new()).unwrap());
     }
 
@@ -460,7 +459,13 @@ mod tests {
                 )],
                 axiom,
             );
-            let ans = crate::eval::eval_query_with(&inst, &q, EvalConfig::default()).unwrap();
+            let ans = crate::eval::eval_pooled(
+                &q,
+                &inst,
+                &Governor::default(),
+                &minipool::ThreadPool::sequential(),
+            )
+            .unwrap();
             let factorial: usize = (1..=n).product();
             assert_eq!(ans.len(), factorial, "n = {n}");
         }
@@ -484,7 +489,7 @@ mod tests {
             Formula::exists("m", Type::Atom, inner)
         };
         let sentence = postulate_order("lt", min_exists);
-        let mut ev = Evaluator::new(&inst, order, EvalConfig::default());
+        let mut ev = Evaluator::new(&inst, order, Governor::default());
         assert!(ev.holds(&sentence, &mut crate::eval::Env::new()).unwrap());
     }
 

@@ -17,13 +17,13 @@
 //! * rule 9′/10 → fixpoint column ranges by the accumulate-until-stable
 //!   iteration, and the computed fixpoint relation as a singleton range.
 //!
-//! [`safe_eval`] ties it together: compute ranges, install them as the
+//! [`safe_eval_pooled`] ties it together: compute ranges, install them as the
 //! restricted-domain semantics, evaluate. For range-restricted queries
 //! this avoids enumerating any `dom(T, D)` — the engine never touches the
 //! hyperexponential domains (benchmark E10).
 
 use crate::ast::{Fixpoint, Formula, RelName, Term, VarName};
-use crate::error::{EvalConfig, EvalError};
+use crate::error::EvalError;
 use crate::eval::{active_order, Env, Evaluator, Query, RangeMap};
 use crate::rr::VarPath;
 use crate::typeck;
@@ -118,20 +118,9 @@ impl Ctx<'_> {
 }
 
 /// Compute ranges for all range-restricted variables of `formula` on
-/// `instance`. `var_types` must cover every variable (from
-/// [`crate::typeck::check`]).
+/// `instance`, drawing from `governor`. `var_types` must cover every
+/// variable (from [`crate::typeck::check`]).
 pub fn compute_ranges(
-    instance: &Instance,
-    var_types: &BTreeMap<VarName, Type>,
-    formula: &Formula,
-    config: &EvalConfig,
-) -> Result<Ranges, EvalError> {
-    compute_ranges_governed(instance, var_types, formula, &config.governor())
-}
-
-/// As [`compute_ranges`], but drawing from an existing shared
-/// [`Governor`] instead of starting a fresh budget.
-pub fn compute_ranges_governed(
     instance: &Instance,
     var_types: &BTreeMap<VarName, Type>,
     formula: &Formula,
@@ -163,38 +152,14 @@ pub fn compute_ranges_governed(
 /// semantics — the executable content of Theorem 5.1.
 ///
 /// Variables without a computed range fall back to their active domains,
-/// so the call is *always* semantically equivalent to [`crate::eval::eval_query_with`]
-/// for range-restricted queries, and merely slower (never wrong) otherwise.
-pub fn safe_eval(
-    instance: &Instance,
-    query: &Query,
-    config: EvalConfig,
-) -> Result<Relation, EvalError> {
-    safe_eval_governed(instance, query, &config.governor())
-}
-
-/// As [`safe_eval`], but drawing from an existing shared [`Governor`] so
-/// the whole pipeline — range analysis (including any nested evaluation it
-/// performs) and the final restricted-domain evaluation — shares one
-/// budget with the caller.
-pub fn safe_eval_governed(
-    instance: &Instance,
-    query: &Query,
-    governor: &Governor,
-) -> Result<Relation, EvalError> {
-    safe_eval_pooled(
-        instance,
-        query,
-        governor,
-        &minipool::ThreadPool::sequential(),
-    )
-}
-
-/// As [`safe_eval_governed`], with a worker pool for the final enumeration
-/// pass. Range *analysis* stays sequential (it is a cheap static pass over
-/// the formula plus small auxiliary evaluations); only the satisfaction
-/// enumeration over the computed ranges is chunked across workers. A
-/// sequential pool reproduces [`safe_eval_governed`] exactly.
+/// so the call is *always* semantically equivalent to
+/// [`crate::eval::eval_pooled`] for range-restricted queries, and merely
+/// slower (never wrong) otherwise. The whole pipeline — range analysis
+/// (including any nested evaluation it performs) and the final
+/// restricted-domain evaluation — draws from `governor`. Range analysis
+/// stays sequential (it is a cheap static pass over the formula plus small
+/// auxiliary evaluations); only the satisfaction enumeration over the
+/// computed ranges is chunked across `pool`'s workers.
 pub fn safe_eval_pooled(
     instance: &Instance,
     query: &Query,
@@ -204,9 +169,9 @@ pub fn safe_eval_pooled(
     let checked = typeck::check(instance.schema(), &query.head, &query.body)
         .map_err(|e| EvalError::ShapeError(e.to_string()))?;
     let governor = governor.clone();
-    let ranges = compute_ranges_governed(instance, &checked.var_types, &query.body, &governor)?;
+    let ranges = compute_ranges(instance, &checked.var_types, &query.body, &governor)?;
     let order = active_order(instance, query);
-    let mut ev = Evaluator::with_governor(instance, order, governor)
+    let mut ev = Evaluator::new(instance, order, governor)
         .with_ranges(ranges.to_range_map())
         .with_pool(pool.clone());
     ev.query(query)
@@ -549,8 +514,7 @@ fn enumerate_assignments(
             Ok(())
         }
         None => {
-            let mut ev =
-                Evaluator::with_governor(ctx.instance, order.clone(), ctx.governor.clone());
+            let mut ev = Evaluator::new(ctx.instance, order.clone(), ctx.governor.clone());
             let mut env = Env::new();
             for (v, val) in assignment.iter() {
                 env.push(v.clone(), val.clone());
@@ -633,8 +597,7 @@ fn eval_fix_with_cols(
     let mut atoms = ctx.instance.atoms();
     crate::eval::formula_atoms(&fix.body, &mut atoms);
     let order = no_object::AtomOrder::new(atoms.into_iter().collect());
-    let mut ev =
-        Evaluator::with_governor(ctx.instance, order, ctx.governor.clone()).with_ranges(range_map);
+    let mut ev = Evaluator::new(ctx.instance, order, ctx.governor.clone()).with_ranges(range_map);
     Ok(ev.eval_fixpoint(fix)?.as_ref().clone())
 }
 
@@ -650,8 +613,17 @@ fn fix_relation_to_set(rel: &Relation) -> Value {
 mod tests {
     use super::*;
     use crate::ast::FixOp;
-    use crate::eval::eval_query_with;
-    use no_object::{RelationSchema, Schema, Universe};
+    use crate::eval::eval_pooled;
+    use minipool::ThreadPool;
+    use no_object::{Limits, RelationSchema, Schema, Universe};
+
+    fn run_safe(i: &Instance, q: &Query, limits: Limits) -> Result<Relation, EvalError> {
+        safe_eval_pooled(i, q, &Governor::new(limits), &ThreadPool::sequential())
+    }
+
+    fn run_active(i: &Instance, q: &Query, limits: Limits) -> Result<Relation, EvalError> {
+        eval_pooled(q, i, &Governor::new(limits), &ThreadPool::sequential())
+    }
 
     fn pair_instance(pairs: &[(&str, &str)]) -> (Universe, Instance) {
         let mut u = Universe::new();
@@ -678,7 +650,7 @@ mod tests {
         let (_u, i) = pair_instance(&[("a", "b"), ("b", "c")]);
         let f = Formula::Rel("P".into(), vec![Term::var("x"), Term::var("y")]);
         let vt = types_of(&i, &[("x", Type::Atom), ("y", Type::Atom)], &f);
-        let r = compute_ranges(&i, &vt, &f, &EvalConfig::default()).unwrap();
+        let r = compute_ranges(&i, &vt, &f, &Governor::default()).unwrap();
         assert_eq!(r.of_var("x").unwrap().len(), 2); // a, b
         assert_eq!(r.of_var("y").unwrap().len(), 2); // b, c
     }
@@ -712,7 +684,7 @@ mod tests {
             &[("x", Type::Atom), ("s", Type::set(Type::Atom))],
             &q.body,
         );
-        let r = compute_ranges(&i, &vt, &q.body, &EvalConfig::default()).unwrap();
+        let r = compute_ranges(&i, &vt, &q.body, &Governor::default()).unwrap();
         let s_range = r.of_var("s").expect("s ranged by rule 9");
         // candidate sets: {y | P(x,y)} for x ∈ {a, b} = {b,c} and {c}
         let b = Value::Atom(u.get("b").unwrap());
@@ -720,8 +692,8 @@ mod tests {
         assert!(s_range.contains(&Value::set([b.clone(), c.clone()])));
         assert!(s_range.contains(&Value::set([c.clone()])));
         // safe evaluation agrees with active-domain evaluation
-        let safe = safe_eval(&i, &q, EvalConfig::default()).unwrap();
-        let active = eval_query_with(&i, &q, EvalConfig::default()).unwrap();
+        let safe = run_safe(&i, &q, Limits::default()).unwrap();
+        let active = run_active(&i, &q, Limits::default()).unwrap();
         assert_eq!(safe, active);
         assert_eq!(safe.len(), 2);
     }
@@ -749,9 +721,9 @@ mod tests {
             vec![("u".into(), Type::Atom), ("v".into(), Type::Atom)],
             Formula::FixApp(fix, vec![Term::var("u"), Term::var("v")]),
         );
-        let safe = safe_eval(&i, &q, EvalConfig::default()).unwrap();
+        let safe = run_safe(&i, &q, Limits::default()).unwrap();
         assert_eq!(safe.len(), 6);
-        let active = eval_query_with(&i, &q, EvalConfig::default()).unwrap();
+        let active = run_active(&i, &q, Limits::default()).unwrap();
         assert_eq!(safe, active);
     }
 
@@ -776,7 +748,7 @@ mod tests {
             vec![("s".into(), Type::set(Type::Atom))],
             Formula::Eq(Term::var("s"), Term::Fix(fix)),
         );
-        let safe = safe_eval(&i, &q, EvalConfig::default()).unwrap();
+        let safe = run_safe(&i, &q, Limits::default()).unwrap();
         assert_eq!(safe.len(), 1);
         let row = safe.sorted_rows()[0].clone();
         let b = Value::Atom(u.get("b").unwrap());
@@ -801,12 +773,12 @@ mod tests {
             )),
         );
         let q = Query::new(vec![("s".into(), Type::set(Type::Atom))], body);
-        let mut cfg = EvalConfig::tight();
-        cfg.max_range = 16; // dom({U}, 5) = 32 > 16: active-domain would fail
-        let safe = safe_eval(&i, &q, cfg.clone()).unwrap();
+        let mut limits = Limits::tight();
+        limits.max_range = 16; // dom({U}, 5) = 32 > 16: active-domain would fail
+        let safe = run_safe(&i, &q, limits.clone()).unwrap();
         assert_eq!(safe.len(), 1);
         assert!(matches!(
-            eval_query_with(&i, &q, cfg),
+            run_active(&i, &q, limits),
             Err(EvalError::RangeTooLarge { .. })
         ));
     }
@@ -820,8 +792,8 @@ mod tests {
             vec![("x".into(), Type::Atom)],
             Formula::Rel("P".into(), vec![Term::var("x"), Term::var("x")]).not(),
         );
-        let safe = safe_eval(&i, &q, EvalConfig::default()).unwrap();
-        let active = eval_query_with(&i, &q, EvalConfig::default()).unwrap();
+        let safe = run_safe(&i, &q, Limits::default()).unwrap();
+        let active = run_active(&i, &q, Limits::default()).unwrap();
         assert_eq!(safe, active);
         assert_eq!(safe.len(), 1); // only b
     }
@@ -834,7 +806,7 @@ mod tests {
             Formula::Rel("P".into(), vec![Term::var("y"), Term::var("x")]),
         ]);
         let vt = types_of(&i, &[("x", Type::Atom), ("y", Type::Atom)], &f);
-        let r = compute_ranges(&i, &vt, &f, &EvalConfig::default()).unwrap();
+        let r = compute_ranges(&i, &vt, &f, &Governor::default()).unwrap();
         assert_eq!(r.of_var("x").unwrap().len(), 4);
         assert_eq!(r.of_var("y").unwrap().len(), 4);
     }
@@ -844,11 +816,11 @@ mod tests {
         let (_u, i) = pair_instance(&[("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")]);
         let f = Formula::Rel("P".into(), vec![Term::var("x"), Term::var("y")]);
         let vt = types_of(&i, &[("x", Type::Atom), ("y", Type::Atom)], &f);
-        let cfg = EvalConfig {
+        let gov = Governor::new(Limits {
             max_range: 2,
-            ..EvalConfig::default()
-        };
-        match compute_ranges(&i, &vt, &f, &cfg) {
+            ..Limits::default()
+        });
+        match compute_ranges(&i, &vt, &f, &gov) {
             Err(EvalError::Resource(e)) => {
                 assert_eq!(e.budget, no_object::BudgetKind::Range);
                 assert_eq!(e.limit, 2);

@@ -72,35 +72,6 @@ pub enum Strategy {
     SemiNaive,
 }
 
-/// Evaluate `program` on `instance` with inflationary semantics, under a
-/// fresh default [`Governor`].
-pub fn eval(
-    program: &Program,
-    instance: &Instance,
-    strategy: Strategy,
-) -> Result<(Idb, EvalStats), ProgramError> {
-    eval_governed(program, instance, strategy, &Governor::default())
-}
-
-/// Evaluate `program` on `instance` with inflationary semantics under an
-/// existing [`Governor`]: every rule-body join attempt costs one unit of
-/// step fuel, every derived fact is charged against the memory budget, and
-/// each fixpoint round is checked against the iteration cap.
-pub fn eval_governed(
-    program: &Program,
-    instance: &Instance,
-    strategy: Strategy,
-    governor: &Governor,
-) -> Result<(Idb, EvalStats), ProgramError> {
-    eval_pooled(
-        program,
-        instance,
-        strategy,
-        governor,
-        &ThreadPool::sequential(),
-    )
-}
-
 /// A rule task's view of the delta: which body position (if any) is pinned
 /// to last round's delta, and the rows it is pinned to. Chunked tasks own
 /// their slice of the delta; unchunked tasks borrow the whole relation.
@@ -172,12 +143,15 @@ impl Edb {
     }
 }
 
-/// [`eval_governed`] with an explicit [`ThreadPool`]. At `threads == 1` the
-/// round loop is executed exactly as in previous releases; at higher
-/// parallelism each round's rule evaluations — and, under semi-naive, each
-/// (rule, delta-position, delta-chunk) — become independent tasks fanned
-/// out over the pool, with worker-local outputs merged at the round
-/// barrier. Derived relations are identical at every parallelism level;
+/// Evaluate `program` on `instance` with inflationary semantics under
+/// `governor`: every rule-body join attempt costs one unit of step fuel,
+/// every derived fact is charged against the memory budget, and each
+/// fixpoint round is checked against the iteration cap. At `threads == 1`
+/// the round loop runs on the calling thread; at higher parallelism each
+/// round's rule evaluations — and, under semi-naive, each (rule,
+/// delta-position, delta-chunk) — become independent tasks fanned out
+/// over `pool`, with worker-local outputs merged at the round barrier.
+/// Derived relations are identical at every parallelism level;
 /// [`EvalStats::joins`] and the exact step-fuel trip point may differ when
 /// `threads > 1` because chunked tasks re-scan the body prefix before the
 /// pinned literal.
@@ -671,9 +645,19 @@ fn unify<'a>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use no_object::{RelationSchema, Schema, Type, Universe, Value};
+
+    /// Inflationary evaluation under a default governor, sequentially.
+    pub(crate) fn run(
+        program: &Program,
+        instance: &Instance,
+        strategy: Strategy,
+    ) -> Result<(Idb, EvalStats), ProgramError> {
+        let pool = ThreadPool::sequential();
+        eval_pooled(program, instance, strategy, &Governor::default(), &pool)
+    }
 
     fn graph(edges: &[(&str, &str)]) -> (Universe, Instance) {
         let mut u = Universe::new();
@@ -712,7 +696,7 @@ mod tests {
     #[test]
     fn transitive_closure_naive() {
         let (_u, i) = graph(&[("a", "b"), ("b", "c"), ("c", "d")]);
-        let (idb, stats) = eval(&tc_program(), &i, Strategy::Naive).unwrap();
+        let (idb, stats) = run(&tc_program(), &i, Strategy::Naive).unwrap();
         assert_eq!(idb["tc"].len(), 6);
         assert!(stats.rounds >= 3);
     }
@@ -726,8 +710,8 @@ mod tests {
             vec![],
         ] {
             let (_u, i) = graph(&edges);
-            let (n, _) = eval(&tc_program(), &i, Strategy::Naive).unwrap();
-            let (s, _) = eval(&tc_program(), &i, Strategy::SemiNaive).unwrap();
+            let (n, _) = run(&tc_program(), &i, Strategy::Naive).unwrap();
+            let (s, _) = run(&tc_program(), &i, Strategy::SemiNaive).unwrap();
             assert_eq!(n, s, "edges {edges:?}");
         }
     }
@@ -742,8 +726,8 @@ mod tests {
             .map(|(a, b)| (a.as_str(), b.as_str()))
             .collect();
         let (_u, i) = graph(&edge_refs);
-        let (_, naive) = eval(&tc_program(), &i, Strategy::Naive).unwrap();
-        let (_, semi) = eval(&tc_program(), &i, Strategy::SemiNaive).unwrap();
+        let (_, naive) = run(&tc_program(), &i, Strategy::Naive).unwrap();
+        let (_, semi) = run(&tc_program(), &i, Strategy::SemiNaive).unwrap();
         assert!(
             semi.joins * 2 < naive.joins,
             "semi {} vs naive {}",
@@ -789,7 +773,7 @@ mod tests {
                 Literal::Neg("tc".into(), vec![DTerm::var("x"), DTerm::var("y")]),
             ],
         );
-        let (idb, _) = eval(&p, &i, Strategy::Naive).unwrap();
+        let (idb, _) = run(&p, &i, Strategy::Naive).unwrap();
         let a = Value::Atom(u.get("a").unwrap());
         let c = Value::Atom(u.get("c").unwrap());
         // (c, a) is never reachable, so it must be in unreach
@@ -819,7 +803,7 @@ mod tests {
                 Literal::In(DTerm::var("x"), DTerm::var("S")),
             ],
         );
-        let (idb, _) = eval(&p, &i, Strategy::SemiNaive).unwrap();
+        let (idb, _) = run(&p, &i, Strategy::SemiNaive).unwrap();
         assert_eq!(idb["flat"].len(), 3);
     }
 
@@ -837,7 +821,7 @@ mod tests {
                 vec![DTerm::Const(a), DTerm::var("y")],
             )],
         );
-        let (idb, _) = eval(&p, &i, Strategy::Naive).unwrap();
+        let (idb, _) = run(&p, &i, Strategy::Naive).unwrap();
         assert_eq!(idb["from_a"].len(), 1);
     }
 
@@ -854,7 +838,7 @@ mod tests {
                 Literal::Neq(DTerm::var("x"), DTerm::var("y")),
             ],
         );
-        let (idb, _) = eval(&p, &i, Strategy::SemiNaive).unwrap();
+        let (idb, _) = run(&p, &i, Strategy::SemiNaive).unwrap();
         assert_eq!(idb["proper"].len(), 1);
         assert!(idb["proper"].contains(&[
             Value::Atom(u.get("a").unwrap()),
@@ -871,7 +855,7 @@ mod tests {
                 max_steps: 10,
                 ..Limits::unlimited()
             });
-            match eval_governed(&tc_program(), &i, strategy, &g) {
+            match eval_pooled(&tc_program(), &i, strategy, &g, &ThreadPool::sequential()) {
                 Err(ProgramError::Resource(e)) => {
                     assert_eq!(e.budget, BudgetKind::Steps, "{strategy:?}");
                     assert_eq!(e.site, "datalog.search");
@@ -889,7 +873,13 @@ mod tests {
             max_fixpoint_iters: 2,
             ..Limits::unlimited()
         });
-        match eval_governed(&tc_program(), &i, Strategy::Naive, &g) {
+        match eval_pooled(
+            &tc_program(),
+            &i,
+            Strategy::Naive,
+            &g,
+            &ThreadPool::sequential(),
+        ) {
             Err(ProgramError::Resource(e)) => {
                 assert_eq!(e.budget, BudgetKind::FixpointIters);
                 assert_eq!(e.site, "datalog.round");
@@ -906,7 +896,13 @@ mod tests {
             max_memory_bytes: 32,
             ..Limits::unlimited()
         });
-        match eval_governed(&tc_program(), &i, Strategy::SemiNaive, &g) {
+        match eval_pooled(
+            &tc_program(),
+            &i,
+            Strategy::SemiNaive,
+            &g,
+            &ThreadPool::sequential(),
+        ) {
             Err(ProgramError::Resource(e)) => {
                 assert_eq!(e.budget, BudgetKind::Memory);
                 assert_eq!(e.site, "datalog.derive");
@@ -920,7 +916,13 @@ mod tests {
         let (_u, i) = graph(&[("a", "b")]);
         let g = Governor::default();
         g.cancel();
-        match eval_governed(&tc_program(), &i, Strategy::Naive, &g) {
+        match eval_pooled(
+            &tc_program(),
+            &i,
+            Strategy::Naive,
+            &g,
+            &ThreadPool::sequential(),
+        ) {
             Err(ProgramError::Resource(e)) => {
                 assert_eq!(e.budget, no_object::BudgetKind::Cancelled)
             }
@@ -931,8 +933,14 @@ mod tests {
     #[test]
     fn pooled_matches_sequential() {
         let (_u, i) = graph(&[("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("b", "a")]);
-        let (seq, _) =
-            eval_governed(&tc_program(), &i, Strategy::SemiNaive, &Governor::default()).unwrap();
+        let (seq, _) = eval_pooled(
+            &tc_program(),
+            &i,
+            Strategy::SemiNaive,
+            &Governor::default(),
+            &ThreadPool::sequential(),
+        )
+        .unwrap();
         for threads in [2, 4] {
             for strategy in [Strategy::Naive, Strategy::SemiNaive] {
                 let pool = ThreadPool::new(threads);
@@ -947,7 +955,7 @@ mod tests {
     fn empty_program_converges_immediately() {
         let (_u, i) = graph(&[("a", "b")]);
         let p = Program::new();
-        let (idb, stats) = eval(&p, &i, Strategy::Naive).unwrap();
+        let (idb, stats) = run(&p, &i, Strategy::Naive).unwrap();
         assert!(idb.is_empty());
         assert_eq!(stats.rounds, 1);
     }

@@ -8,8 +8,9 @@
 //! # Example
 //!
 //! ```
-//! use no_datalog::{eval, parse_program, Strategy};
-//! use no_object::{Instance, RelationSchema, Schema, Type, Universe, Value};
+//! use minipool::ThreadPool;
+//! use no_datalog::{eval_pooled, parse_program, Strategy};
+//! use no_object::{Governor, Instance, RelationSchema, Schema, Type, Universe, Value};
 //!
 //! let mut universe = Universe::new();
 //! let program = parse_program(
@@ -27,7 +28,8 @@
 //! db.insert("G", vec![Value::Atom(a), Value::Atom(b)]);
 //! db.insert("G", vec![Value::Atom(b), Value::Atom(c)]);
 //!
-//! let (idb, stats) = eval(&program, &db, Strategy::SemiNaive).unwrap();
+//! let (gov, pool) = (Governor::default(), ThreadPool::sequential());
+//! let (idb, stats) = eval_pooled(&program, &db, Strategy::SemiNaive, &gov, &pool).unwrap();
 //! assert_eq!(idb["tc"].len(), 3);
 //! assert!(stats.rounds >= 2);
 //! ```
@@ -42,13 +44,9 @@ pub mod simultaneous;
 pub mod stratified;
 pub mod translate;
 
-pub use eval::{eval, eval_governed, eval_pooled, EvalStats, Idb, Strategy};
+pub use eval::{eval_pooled, EvalStats, Idb, Strategy};
 pub use parser::{parse_program, parse_program_spanned};
 pub use program::{DTerm, Literal, Program, ProgramError, Rule};
-pub use simultaneous::{
-    eval_simultaneous, eval_simultaneous_pooled, to_simultaneous_ifp, SimEvalError, Simultaneous,
-};
-pub use stratified::{
-    eval_stratified, eval_stratified_governed, eval_stratified_pooled, stratify, StratifyError,
-};
+pub use simultaneous::{eval_simultaneous_pooled, to_simultaneous_ifp, SimEvalError, Simultaneous};
+pub use stratified::{eval_stratified_pooled, stratify, StratifyError};
 pub use translate::{to_ifp, TranslateError};

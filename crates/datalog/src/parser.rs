@@ -334,7 +334,8 @@ pub fn parse_program_spanned(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{eval, Strategy};
+    use crate::eval::tests::run;
+    use crate::eval::Strategy;
     use no_object::{Instance, RelationSchema, Schema};
 
     #[test]
@@ -355,7 +356,7 @@ mod tests {
         let (a, b, c) = (u.intern("a"), u.intern("b"), u.intern("c"));
         i.insert("G", vec![Value::Atom(a), Value::Atom(b)]);
         i.insert("G", vec![Value::Atom(b), Value::Atom(c)]);
-        let (idb, _) = eval(&p, &i, Strategy::SemiNaive).unwrap();
+        let (idb, _) = run(&p, &i, Strategy::SemiNaive).unwrap();
         assert_eq!(idb["tc"].len(), 3);
     }
 

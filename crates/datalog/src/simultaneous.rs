@@ -292,27 +292,9 @@ impl std::error::Error for SimEvalError {}
 /// The fourth evaluation strategy: translate the whole program into one
 /// simultaneous `IFP` fixpoint and run it on the CALC evaluator under the
 /// given [`Governor`] (sharing its allowance with any surrounding query),
-/// then decode every IDB relation.
-pub fn eval_simultaneous(
-    program: &Program,
-    body_var_types: &[(&str, Type)],
-    instance: &Instance,
-    order: AtomOrder,
-    governor: &Governor,
-) -> Result<Idb, SimEvalError> {
-    eval_simultaneous_pooled(
-        program,
-        body_var_types,
-        instance,
-        order,
-        governor,
-        &minipool::ThreadPool::sequential(),
-    )
-}
-
-/// [`eval_simultaneous`] with an explicit [`minipool::ThreadPool`]: the
-/// single combined fixpoint's stage enumeration fans out over the pool via
-/// the CALC evaluator's parallel quantifier driver.
+/// then decode every IDB relation. The combined fixpoint's stage
+/// enumeration fans out over `pool` via the CALC evaluator's parallel
+/// quantifier driver.
 pub fn eval_simultaneous_pooled(
     program: &Program,
     body_var_types: &[(&str, Type)],
@@ -322,8 +304,7 @@ pub fn eval_simultaneous_pooled(
     pool: &minipool::ThreadPool,
 ) -> Result<Idb, SimEvalError> {
     let sim = to_simultaneous_ifp(program, body_var_types).map_err(SimEvalError::Translate)?;
-    let mut ev =
-        Evaluator::with_governor(instance, order, governor.clone()).with_pool(pool.clone());
+    let mut ev = Evaluator::new(instance, order, governor.clone()).with_pool(pool.clone());
     let combined = ev
         .eval_fixpoint(&sim.fixpoint)
         .map_err(SimEvalError::Eval)?;
@@ -371,9 +352,10 @@ fn lookup_head_type(program: &Program, rule: &Rule, var: &str) -> Option<Type> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{eval, Strategy};
+    use crate::eval::tests::run;
+    use crate::eval::Strategy;
     use crate::program::Program;
-    use no_core::error::EvalConfig;
+    use minipool::ThreadPool;
     use no_core::eval::Evaluator;
     use no_object::{AtomOrder, Instance, RelationSchema, Schema, Universe};
 
@@ -420,7 +402,7 @@ mod tests {
 
     fn run_sim(sim: &Simultaneous, instance: &Instance) -> Relation {
         let order = AtomOrder::new(instance.atoms().into_iter().collect());
-        let mut ev = Evaluator::new(instance, order, EvalConfig::default());
+        let mut ev = Evaluator::new(instance, order, Governor::default());
         ev.eval_fixpoint(&sim.fixpoint).unwrap().as_ref().clone()
     }
 
@@ -432,7 +414,7 @@ mod tests {
         let sim = to_simultaneous_ifp(&p, &[]).unwrap();
         assert_eq!(sim.tag_bits, 1);
         let combined = run_sim(&sim, &i);
-        let (idb, _) = eval(&p, &i, Strategy::Naive).unwrap();
+        let (idb, _) = run(&p, &i, Strategy::Naive).unwrap();
         for rel in ["even", "odd"] {
             let decoded = sim.decode(rel, &combined).unwrap();
             assert_eq!(decoded, idb[rel], "relation {rel}");
@@ -463,7 +445,7 @@ mod tests {
         let sim = to_simultaneous_ifp(&p, &[("z", Type::Atom)]).unwrap();
         assert_eq!(sim.tag_bits, 0);
         let combined = run_sim(&sim, &i);
-        let (idb, _) = eval(&p, &i, Strategy::SemiNaive).unwrap();
+        let (idb, _) = run(&p, &i, Strategy::SemiNaive).unwrap();
         assert_eq!(sim.decode("tc", &combined).unwrap(), idb["tc"]);
     }
 
@@ -476,8 +458,11 @@ mod tests {
         let order = AtomOrder::new(i.atoms().into_iter().collect());
 
         // Unlimited governor: agrees with the naive strategy.
-        let idb = eval_simultaneous(&p, &[], &i, order.clone(), &Governor::unlimited()).unwrap();
-        let (naive, _) = eval(&p, &i, Strategy::Naive).unwrap();
+        let pool = ThreadPool::sequential();
+        let idb =
+            eval_simultaneous_pooled(&p, &[], &i, order.clone(), &Governor::unlimited(), &pool)
+                .unwrap();
+        let (naive, _) = run(&p, &i, Strategy::Naive).unwrap();
         for rel in ["even", "odd"] {
             assert_eq!(idb[rel], naive[rel], "relation {rel}");
         }
@@ -488,7 +473,7 @@ mod tests {
             max_steps: 5,
             ..Limits::unlimited()
         });
-        match eval_simultaneous(&p, &[], &i, order.clone(), &g) {
+        match eval_simultaneous_pooled(&p, &[], &i, order.clone(), &g, &pool) {
             Err(SimEvalError::Eval(EvalError::Resource(e))) => {
                 assert_eq!(e.budget, BudgetKind::Steps);
                 assert_eq!(e.limit, 5);
@@ -499,7 +484,7 @@ mod tests {
         // Cancellation is honoured too.
         let g = Governor::unlimited();
         g.cancel();
-        match eval_simultaneous(&p, &[], &i, order, &g) {
+        match eval_simultaneous_pooled(&p, &[], &i, order, &g, &pool) {
             Err(SimEvalError::Eval(EvalError::Resource(e))) => {
                 assert_eq!(e.budget, BudgetKind::Cancelled);
             }
@@ -535,7 +520,7 @@ mod tests {
         );
         let sim = to_simultaneous_ifp(&p, &[("s", su)]).unwrap();
         let combined = run_sim(&sim, &i);
-        let (idb, _) = eval(&p, &i, Strategy::Naive).unwrap();
+        let (idb, _) = run(&p, &i, Strategy::Naive).unwrap();
         assert_eq!(sim.decode("groups", &combined).unwrap(), idb["groups"]);
         assert_eq!(sim.decode("marks", &combined).unwrap(), idb["marks"]);
         assert_eq!(idb["marks"].len(), 2);
@@ -561,7 +546,7 @@ mod tests {
         let sim = to_simultaneous_ifp(&p, &[]).unwrap();
         assert_eq!(sim.tag_bits, 2); // 3 relations → 2 bits
         let combined = run_sim(&sim, &i);
-        let (idb, _) = eval(&p, &i, Strategy::Naive).unwrap();
+        let (idb, _) = run(&p, &i, Strategy::Naive).unwrap();
         for rel in ["even", "odd", "both"] {
             assert_eq!(
                 sim.decode(rel, &combined).unwrap(),

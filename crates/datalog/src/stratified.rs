@@ -107,33 +107,13 @@ pub fn stratify(program: &Program) -> Result<Vec<Vec<String>>, StratifyError> {
 }
 
 /// Evaluate with stratified semantics: strata bottom-up, each stratum run
-/// to fixpoint (semi-naive) with all lower strata frozen. Runs under a
-/// fresh default [`Governor`].
-pub fn eval_stratified(program: &Program, instance: &Instance) -> Result<Idb, StratifyError> {
-    eval_stratified_governed(program, instance, &Governor::default())
-}
-
-/// [`eval_stratified`] under an existing [`Governor`]: all strata draw
-/// from the *same* allowance, so a program cannot multiply its budget by
-/// stratifying work across layers.
-pub fn eval_stratified_governed(
-    program: &Program,
-    instance: &Instance,
-    governor: &Governor,
-) -> Result<Idb, StratifyError> {
-    eval_stratified_pooled(
-        program,
-        instance,
-        governor,
-        &minipool::ThreadPool::sequential(),
-    )
-}
-
-/// [`eval_stratified_governed`] with an explicit [`minipool::ThreadPool`]:
-/// each stratum's inflationary fixpoint runs on the round loop of
-/// [`crate::eval::eval_pooled`], so rule evaluation inside every stratum
-/// fans out over the pool (strata themselves stay sequential — each one
-/// negates over the previous ones, a hard dependency).
+/// to fixpoint (semi-naive) with all lower strata frozen. All strata draw
+/// from the *same* `governor` allowance, so a program cannot multiply its
+/// budget by stratifying work across layers. Each stratum's inflationary
+/// fixpoint runs on the round loop of [`crate::eval::eval_pooled`], so
+/// rule evaluation inside every stratum fans out over `pool` (strata
+/// themselves stay sequential — each one negates over the previous ones,
+/// a hard dependency).
 pub fn eval_stratified_pooled(
     program: &Program,
     instance: &Instance,
@@ -177,7 +157,14 @@ pub fn eval_stratified_pooled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::tests::run;
     use crate::program::DTerm;
+    use minipool::ThreadPool;
+
+    fn stratified(program: &Program, instance: &Instance) -> Result<Idb, StratifyError> {
+        let pool = ThreadPool::sequential();
+        eval_stratified_pooled(program, instance, &Governor::default(), &pool)
+    }
     use no_object::{RelationSchema, Schema, Type, Universe, Value};
 
     fn graph(edges: &[(&str, &str)]) -> (Universe, Instance) {
@@ -288,9 +275,9 @@ mod tests {
         let a = Value::Atom(u.get("a").unwrap());
         let c = Value::Atom(u.get("c").unwrap());
         let p = unreach_program();
-        let stratified = eval_stratified(&p, &i).unwrap();
+        let stratified = stratified(&p, &i).unwrap();
         assert!(!stratified["unreach"].contains(&[a.clone(), c.clone()]));
-        let (inflationary, _) = crate::eval::eval(&i_p(&p), &i, Strategy::Naive).unwrap();
+        let (inflationary, _) = run(&i_p(&p), &i, Strategy::Naive).unwrap();
         assert!(inflationary["unreach"].contains(&[a.clone(), c.clone()]));
         // and both contain the genuinely unreachable pair (c, a)
         assert!(stratified["unreach"].contains(&[c.clone(), a.clone()]));
@@ -304,7 +291,7 @@ mod tests {
     #[test]
     fn stratified_matches_reference_complement() {
         let (u, i) = graph(&[("a", "b"), ("b", "c"), ("c", "a"), ("d", "a")]);
-        let idb = eval_stratified(&unreach_program(), &i).unwrap();
+        let idb = stratified(&unreach_program(), &i).unwrap();
         // reference: complement of TC over the 4 nodes
         let names = ["a", "b", "c", "d"];
         let reachable = |x: &str, y: &str| -> bool {
@@ -351,8 +338,8 @@ mod tests {
                 Literal::Pos("G".into(), vec![DTerm::var("z"), DTerm::var("y")]),
             ],
         );
-        let stratified = eval_stratified(&p, &i).unwrap();
-        let (inflationary, _) = crate::eval::eval(&p, &i, Strategy::SemiNaive).unwrap();
+        let stratified = stratified(&p, &i).unwrap();
+        let (inflationary, _) = run(&p, &i, Strategy::SemiNaive).unwrap();
         assert_eq!(stratified, inflationary);
     }
 
@@ -364,7 +351,7 @@ mod tests {
             max_steps: 50,
             ..Limits::unlimited()
         });
-        match eval_stratified_governed(&unreach_program(), &i, &g) {
+        match eval_stratified_pooled(&unreach_program(), &i, &g, &ThreadPool::sequential()) {
             Err(StratifyError::Program(ProgramError::Resource(e))) => {
                 assert_eq!(e.budget, BudgetKind::Steps);
             }
@@ -379,9 +366,6 @@ mod tests {
         let mut p = Program::new();
         p.rule("ghost", vec![DTerm::var("x")], vec![]);
         let (_u, i) = graph(&[("a", "b")]);
-        assert!(matches!(
-            eval_stratified(&p, &i),
-            Err(StratifyError::Program(_))
-        ));
+        assert!(matches!(stratified(&p, &i), Err(StratifyError::Program(_))));
     }
 }

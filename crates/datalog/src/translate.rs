@@ -186,10 +186,11 @@ pub fn to_ifp(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{eval, Strategy};
-    use no_core::error::EvalConfig;
-    use no_core::eval::{eval_query_with, Query};
-    use no_object::{Instance, RelationSchema, Schema, Universe, Value};
+    use crate::eval::tests::run;
+    use crate::eval::Strategy;
+    use minipool::ThreadPool;
+    use no_core::eval::{eval_pooled, Query};
+    use no_object::{Governor, Instance, RelationSchema, Schema, Universe, Value};
 
     fn graph(edges: &[(&str, &str)]) -> (Universe, Instance) {
         let mut u = Universe::new();
@@ -233,8 +234,8 @@ mod tests {
             vec![("u".into(), Type::Atom), ("v".into(), Type::Atom)],
             Formula::FixApp(fix, vec![Term::var("u"), Term::var("v")]),
         );
-        let by_calc = eval_query_with(&i, &q, EvalConfig::default()).unwrap();
-        let (idb, _) = eval(&tc_program(), &i, Strategy::SemiNaive).unwrap();
+        let by_calc = eval_pooled(&q, &i, &Governor::default(), &ThreadPool::sequential()).unwrap();
+        let (idb, _) = run(&tc_program(), &i, Strategy::SemiNaive).unwrap();
         assert_eq!(by_calc, idb["tc"]);
     }
 
@@ -257,8 +258,8 @@ mod tests {
             vec![("u".into(), Type::Atom), ("v".into(), Type::Atom)],
             Formula::FixApp(fix, vec![Term::var("u"), Term::var("v")]),
         );
-        let by_calc = eval_query_with(&i, &q, EvalConfig::default()).unwrap();
-        let (idb, _) = eval(&p, &i, Strategy::Naive).unwrap();
+        let by_calc = eval_pooled(&q, &i, &Governor::default(), &ThreadPool::sequential()).unwrap();
+        let (idb, _) = run(&p, &i, Strategy::Naive).unwrap();
         assert_eq!(by_calc, idb["s"]);
         assert_eq!(by_calc.len(), 1); // only (b, c)
     }

@@ -33,7 +33,8 @@ use std::fmt::Write as _;
 
 const MAGIC: &str = "ivm-views v1";
 
-/// Serialize the registry body for [`no_storage::Db::save_views`].
+/// Serialize the registry body a durable store saves as its views
+/// checkpoint (`no_storage::Db::save_views`).
 pub fn encode_registry(reg: &ViewRegistry, universe: &Universe) -> Vec<u8> {
     let mut out = String::new();
     let _ = writeln!(out, "{MAGIC}");

@@ -1109,7 +1109,8 @@ fn maintain_dred(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use no_datalog::eval_stratified;
+    use minipool::ThreadPool;
+    use no_datalog::eval_stratified_pooled;
     use no_object::{RelationSchema, Schema, Type};
 
     fn graph(edges: &[(&str, &str)]) -> (Universe, Instance) {
@@ -1144,7 +1145,9 @@ mod tests {
     /// The maintained state must equal a from-scratch stratified
     /// evaluation of the same program on the post-delta instance.
     fn assert_matches_recompute(view: &MaintainedView, instance: &Instance) {
-        let oracle = eval_stratified(&view.program, instance).unwrap();
+        let pool = ThreadPool::sequential();
+        let oracle =
+            eval_stratified_pooled(&view.program, instance, &Governor::default(), &pool).unwrap();
         for (rel, rows) in &view.state {
             assert_eq!(
                 rows, &oracle[rel],

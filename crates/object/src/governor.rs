@@ -29,7 +29,7 @@
 //! # Fault injection
 //!
 //! With the `faultinject` feature (or inside this crate's own tests),
-//! [`Governor::trip_after`] arms a deterministic countdown: the *n*-th
+//! `Governor::trip_after` arms a deterministic countdown: the *n*-th
 //! subsequent governor check fails with the designated budget, regardless
 //! of real consumption. Engine tests use this to prove that every
 //! evaluator surfaces a structured error from any checkpoint — no panics,
@@ -297,7 +297,7 @@ impl Governor {
 
     /// Cancellation + deadline check without consuming fuel. Cheap enough
     /// for inner loops: one atomic load, and the wall clock only every
-    /// [`DEADLINE_STRIDE`] accumulated ticks.
+    /// `DEADLINE_STRIDE` accumulated ticks.
     pub fn checkpoint(&self, site: &'static str) -> Result<(), ResourceError> {
         self.fault_check(site)?;
         if self.is_cancelled() {
@@ -457,6 +457,13 @@ mod fault {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn default_limits_are_more_generous_than_tight() {
+        let (d, t) = (Limits::default(), Limits::tight());
+        assert!(d.max_range > t.max_range);
+        assert!(d.max_steps > t.max_steps);
+    }
 
     #[test]
     fn step_fuel_exhausts_with_structured_error() {

@@ -65,9 +65,9 @@ struct Side {
 /// build-side key duplication. The decision table (DESIGN.md §14):
 ///
 /// 1. unknown estimates → hash join, build left (safe default);
-/// 2. either input ≤ [`SMALL_INPUT`] rows → nested loop;
+/// 2. either input ≤ `SMALL_INPUT` rows → nested loop;
 /// 3. build side (the smaller input) duplicate-heavy on its key
-///    (distinct/rows < [`DUP_RATIO`]) → merge join;
+///    (distinct/rows < `DUP_RATIO`) → merge join;
 /// 4. otherwise → hash join, building the smaller side.
 ///
 /// Pure in its inputs: for a fixed stats snapshot the choice is

@@ -14,7 +14,7 @@ use no_algebra::{AlgebraError, Expr};
 use no_core::ast::VarName;
 use no_core::error::EvalError;
 use no_core::eval::{active_order, Evaluator};
-use no_core::ranges::compute_ranges_governed;
+use no_core::ranges::compute_ranges;
 use no_core::Query;
 use no_datalog::{
     eval_pooled, eval_simultaneous_pooled, eval_stratified_pooled, EvalStats, Idb, Program,
@@ -230,8 +230,8 @@ impl Physical {
                 pins,
             } => {
                 let order = active_order(instance, query);
-                let mut ev = Evaluator::with_governor(instance, order, governor.clone())
-                    .with_pool(pool.clone());
+                let mut ev =
+                    Evaluator::new(instance, order, governor.clone()).with_pool(pool.clone());
                 match mode {
                     CalcMode::ActiveDomain => {
                         if !pins.is_empty() {
@@ -243,8 +243,7 @@ impl Physical {
                         }
                     }
                     CalcMode::Safe => {
-                        let ranges =
-                            compute_ranges_governed(instance, var_types, &query.body, governor)?;
+                        let ranges = compute_ranges(instance, var_types, &query.body, governor)?;
                         let mut map = ranges.to_range_map();
                         for (v, c) in pins {
                             match map.get_mut(v) {

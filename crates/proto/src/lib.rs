@@ -1,10 +1,9 @@
 //! The wire protocol: one serializable [`Request`]/[`Response`] pair.
 //!
-//! Historically every caller surface (REPL, CLI, embeddings) talked to a
-//! different corner of a ~15-method `Session` matrix (`eval_calc` ×
-//! `_safe` × `_planned`, three Datalog strategies × planned, `analyze`,
-//! `explain`, storage verbs). None of that can be put on a wire. This
-//! crate defines the one request shape they all reduce to:
+//! Every caller surface (REPL, CLI, embeddings, the TCP server) asks for
+//! one of the same things: evaluate in some language, mode, and strategy,
+//! tree-walk or planned; analyze; explain; or a storage verb. This crate
+//! defines the one request shape they all reduce to:
 //!
 //! ```text
 //! Request { op, lang, mode, strategy, planned, tenant, text, limits }

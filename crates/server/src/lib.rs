@@ -37,7 +37,7 @@
 use conc::{AtomicBool, AtomicU64, Mutex};
 use no_proto::{DeltaOut, Op, Request, Response};
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
@@ -46,6 +46,11 @@ use std::time::{Duration, Instant};
 
 pub mod admission;
 use admission::TokenBuckets;
+
+/// The longest request line the server reads, newline included. A client
+/// that sends more without a newline gets a `protocol` error and the
+/// connection is closed, so one socket cannot grow a buffer without bound.
+pub const MAX_LINE_BYTES: usize = 4 << 20;
 
 // ---------------------------------------------------------------------------
 // Cancellation
@@ -492,6 +497,9 @@ fn accept_loop(
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
+                // replies and pushes must not wait out the peer's delayed
+                // ACK behind an earlier unacknowledged write
+                stream.set_nodelay(true).ok();
                 let handler = Arc::clone(&handler);
                 let metrics = Arc::clone(&metrics);
                 let subs = Arc::clone(&subs);
@@ -525,23 +533,32 @@ fn serve_connection(
     conn_id: u64,
 ) -> io::Result<()> {
     let read_half = stream.try_clone()?;
-    let (tx, rx) = mpsc::channel::<String>();
+    let (tx, rx) = mpsc::channel::<Result<String, Response>>();
     let in_flight: Arc<Mutex<Option<CancelToken>>> =
         Arc::new(Mutex::new_named("server.in_flight", None));
     let reader = {
         let in_flight = Arc::clone(&in_flight);
         thread::spawn(move || {
             let mut lines = BufReader::new(read_half);
-            let mut line = String::new();
             loop {
-                line.clear();
-                match lines.read_line(&mut line) {
+                let mut line = Vec::new();
+                let limit = MAX_LINE_BYTES as u64;
+                let item = match (&mut lines).take(limit).read_until(b'\n', &mut line) {
                     Ok(0) | Err(_) => break, // disconnect
-                    Ok(_) => {
-                        if tx.send(std::mem::take(&mut line)).is_err() {
-                            break; // executor is gone
-                        }
+                    Ok(n) if n == MAX_LINE_BYTES && line.last() != Some(&b'\n') => {
+                        Err(Response::error(
+                            "protocol",
+                            format!("request line longer than {MAX_LINE_BYTES} bytes"),
+                        ))
                     }
+                    Ok(_) => match String::from_utf8(line) {
+                        Ok(line) => Ok(line),
+                        Err(_) => break, // not text: drop the connection
+                    },
+                };
+                let overflow = item.is_err();
+                if tx.send(item).is_err() || overflow {
+                    break; // executor is gone, or the line was refused
                 }
             }
             // the client is gone: abort whatever is running for it
@@ -555,27 +572,31 @@ fn serve_connection(
         "server.conn_writer",
         BufWriter::new(stream),
     ));
-    while let Ok(line) = rx.recv() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let resp = process_line(
-            line,
-            handler.as_ref(),
-            metrics,
-            &in_flight,
-            subs,
-            conn_id,
-            &out,
-        );
+    while let Ok(item) = rx.recv() {
+        // an over-long line is answered, then the connection closes
+        let (resp, close) = match item {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => {
+                let resp = process_line(
+                    line.trim(),
+                    handler.as_ref(),
+                    metrics,
+                    &in_flight,
+                    subs,
+                    conn_id,
+                    &out,
+                );
+                (resp, false)
+            }
+            Err(refusal) => (refusal, true),
+        };
         let mut encoded = resp.to_json();
         encoded.push('\n');
         let written = {
             let mut w = out.lock();
             w.write_all(encoded.as_bytes()).and_then(|()| w.flush())
         };
-        if written.is_err() {
+        if written.is_err() || close {
             break;
         }
     }

@@ -4,7 +4,7 @@
 //! Every I/O operation the storage layer performs (file creation, write,
 //! fsync, rename, truncate) consults a shared [`IoFaults`] handle before
 //! touching the OS. With the `faultinject` feature (or inside this
-//! crate's own tests), [`IoFaults::arm`] plants a deterministic fault at
+//! crate's own tests), `IoFaults::arm` plants a deterministic fault at
 //! the *n*-th subsequent matching operation:
 //!
 //! * [`FaultMode::Crash`] — the operation fails without side effects,

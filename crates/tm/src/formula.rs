@@ -31,10 +31,10 @@
 use crate::machine::{Machine, Move, State};
 use crate::sim::SimError;
 use no_core::ast::{FixOp, Fixpoint, Formula, Term};
-use no_core::error::{EvalConfig, EvalError};
+use no_core::error::EvalError;
 use no_core::eval::Evaluator;
 use no_core::orders::{LtBase, OrderSynth};
-use no_object::{AtomOrder, Instance, Relation, RelationSchema, Schema, Type, Value};
+use no_object::{AtomOrder, Governor, Instance, Relation, RelationSchema, Schema, Type, Value};
 use std::sync::Arc;
 
 /// A compiled machine simulation: the fixpoint formula plus the encoding
@@ -359,9 +359,9 @@ impl CompiledSim {
     /// of timestamps and converges on a non-halting final configuration —
     /// check [`CompiledSim::halted`] before trusting
     /// [`CompiledSim::decode_output`].
-    pub fn run(&self, config: EvalConfig) -> Result<Relation, EvalError> {
+    pub fn run(&self, governor: &Governor) -> Result<Relation, EvalError> {
         let instance = lt_instance(&self.order);
-        let mut ev = Evaluator::new(&instance, self.order.clone(), config);
+        let mut ev = Evaluator::new(&instance, self.order.clone(), governor.clone());
         let rel = ev.eval_fixpoint(&self.fixpoint)?;
         Ok(rel.as_ref().clone())
     }
@@ -488,7 +488,7 @@ mod tests {
         let machine = flipper();
         let input = "01";
         let sim = CompiledSim::compile(&machine, &order, 1, input).unwrap();
-        let rel = sim.run(EvalConfig::default()).unwrap();
+        let rel = sim.run(&Governor::default()).unwrap();
         // semantic baseline
         let mut baseline = RelationalRun::new(&machine, &order, 1, input).unwrap();
         baseline.run_to_halt().unwrap();
@@ -516,7 +516,7 @@ mod tests {
         let machine = flipper();
         for input in ["", "0", "1", "010"] {
             let sim = CompiledSim::compile(&machine, &order, 1, input).unwrap();
-            let rel = sim.run(EvalConfig::default()).unwrap();
+            let rel = sim.run(&Governor::default()).unwrap();
             let direct = machine.run(input, 100).unwrap();
             assert!(sim.halted(&rel), "input {input:?} must reach a halt");
             assert_eq!(
@@ -540,7 +540,7 @@ mod tests {
         let machine = b.build().unwrap();
         let order = order_n(4);
         let sim = CompiledSim::compile(&machine, &order, 1, "00").unwrap();
-        let rel = sim.run(EvalConfig::default()).unwrap();
+        let rel = sim.run(&Governor::default()).unwrap();
         let direct = machine.run("00", 100).unwrap();
         assert_eq!(direct.output, "cb");
         assert_eq!(sim.decode_output(&rel).unwrap(), "cb");

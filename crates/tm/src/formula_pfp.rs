@@ -21,10 +21,10 @@ use crate::formula::{index_value, lt_instance, tuple_type, value_index, width_fo
 use crate::machine::{Machine, Move, State};
 use crate::sim::SimError;
 use no_core::ast::{FixOp, Fixpoint, Formula, Term};
-use no_core::error::{EvalConfig, EvalError};
+use no_core::error::EvalError;
 use no_core::eval::Evaluator;
 use no_core::orders::{LtBase, OrderSynth};
-use no_object::{AtomOrder, Relation};
+use no_object::{AtomOrder, Governor, Relation};
 use std::sync::Arc;
 
 /// A compiled `PFP` machine simulation.
@@ -261,9 +261,9 @@ impl CompiledPfpSim {
 
     /// Evaluate the `PFP` fixpoint. The result holds exactly the halting
     /// configuration (`n^m` rows) — the space saving over IFP.
-    pub fn run(&self, config: EvalConfig) -> Result<Relation, EvalError> {
+    pub fn run(&self, governor: &Governor) -> Result<Relation, EvalError> {
         let instance = lt_instance(&self.order);
-        let mut ev = Evaluator::new(&instance, self.order.clone(), config);
+        let mut ev = Evaluator::new(&instance, self.order.clone(), governor.clone());
         let rel = ev.eval_fixpoint(&self.fixpoint)?;
         Ok(rel.as_ref().clone())
     }
@@ -316,7 +316,7 @@ mod tests {
         let order = order_n(4);
         for input in ["", "0", "10", "010"] {
             let sim = CompiledPfpSim::compile(&machine, &order, 1, input).unwrap();
-            let rel = sim.run(EvalConfig::default()).unwrap();
+            let rel = sim.run(&Governor::default()).unwrap();
             let direct = machine.run(input, 100).unwrap();
             assert_eq!(
                 sim.decode_output(&rel).as_deref(),
@@ -334,10 +334,10 @@ mod tests {
         // "01" halts in 3 moves: 4 configurations fit the 4 timestamps
         let input = "01";
         let pfp = CompiledPfpSim::compile(&machine, &order, 1, input).unwrap();
-        let pfp_rel = pfp.run(EvalConfig::default()).unwrap();
+        let pfp_rel = pfp.run(&Governor::default()).unwrap();
         assert_eq!(pfp_rel.len(), 4, "one row per cell");
         let ifp = CompiledSim::compile(&machine, &order, 1, input).unwrap();
-        let ifp_rel = ifp.run(EvalConfig::default()).unwrap();
+        let ifp_rel = ifp.run(&Governor::default()).unwrap();
         assert!(ifp.halted(&ifp_rel));
         // IFP keeps every timestamped configuration: 4 cells × 4 timestamps
         assert_eq!(ifp_rel.len(), 4 * 4);
@@ -354,7 +354,7 @@ mod tests {
         let machine = b.build().unwrap();
         let order = order_n(4);
         let sim = CompiledPfpSim::compile(&machine, &order, 1, "00").unwrap();
-        let rel = sim.run(EvalConfig::default()).unwrap();
+        let rel = sim.run(&Governor::default()).unwrap();
         assert_eq!(sim.decode_output(&rel).as_deref(), Some("cb"));
     }
 

@@ -6,11 +6,11 @@
 //! cargo run --example algebra_tour
 //! ```
 
-use nestdb::algebra::{eval, AlgebraConfig, AlgebraError, Expr, Pred};
-use nestdb::core::error::EvalConfig;
-use nestdb::core::eval::eval_query_with;
+use nestdb::algebra::{AlgebraError, Expr, Pred};
 use nestdb::core::parser::parse_query;
-use nestdb::object::{Instance, RelationSchema, Schema, Type, Universe, Value};
+use nestdb::object::{Governor, Instance, Limits, Relation, RelationSchema, Schema, Type};
+use nestdb::object::{Universe, Value};
+use nestdb::ThreadPool;
 
 fn main() {
     // flights between cities
@@ -29,6 +29,11 @@ fn main() {
         db.insert("F", vec![a, b]);
     }
     println!("flights:\n{db}");
+    let pool = ThreadPool::sequential();
+    // every evaluation below runs under a fresh default budget
+    let eval = |e: &Expr| -> Relation {
+        nestdb::algebra::eval_pooled(e, &db, &Governor::default(), &pool).unwrap()
+    };
 
     // --- the same query, algebra vs calculus ---
     // destinations reachable in exactly two hops
@@ -36,10 +41,11 @@ fn main() {
         .product(Expr::rel("F"))
         .select(Pred::EqCols(2, 3))
         .project([1, 4]);
-    let by_algebra = eval(&two_hop_alg, &db, &AlgebraConfig::default()).unwrap();
+    let by_algebra = eval(&two_hop_alg);
     let two_hop_calc =
         parse_query("{[x:U, y:U] | exists z:U (F(x, z) /\\ F(z, y))}", &mut u).unwrap();
-    let by_calculus = eval_query_with(&db, &two_hop_calc, EvalConfig::default()).unwrap();
+    let by_calculus =
+        nestdb::core::eval_pooled(&two_hop_calc, &db, &Governor::default(), &pool).unwrap();
     println!(
         "two-hop pairs: algebra = {}, calculus = {}, equal = {}",
         by_algebra.len(),
@@ -49,21 +55,21 @@ fn main() {
 
     // --- nest: group destinations per origin; unnest inverts it ---
     let grouped = Expr::rel("F").nest(2);
-    let out = eval(&grouped, &db, &AlgebraConfig::default()).unwrap();
+    let out = eval(&grouped);
     println!("\nnest[2](F) — destination sets per origin:");
     for row in out.sorted_rows() {
         println!("  {} -> {}", row[0], row[1]);
     }
-    let back = eval(&grouped.clone().unnest(2), &db, &AlgebraConfig::default()).unwrap();
+    let back = eval(&grouped.clone().unnest(2));
     println!("unnest(nest(F)) == F: {}", &back == db.relation("F"));
 
     // --- powerset: the operator the paper warns about ---
     let cities = Expr::rel("F")
         .project([1])
         .union(Expr::rel("F").project([2]));
-    let n_cities = eval(&cities, &db, &AlgebraConfig::default()).unwrap().len();
+    let n_cities = eval(&cities).len();
     let pow = cities.powerset();
-    let subsets = eval(&pow, &db, &AlgebraConfig::default()).unwrap();
+    let subsets = eval(&pow);
     println!(
         "\npowerset of the {} cities: {} subsets (2^{})",
         n_cities,
@@ -71,8 +77,12 @@ fn main() {
         n_cities
     );
     // the governor converts hyperexponential blowup into a structured error
-    let tight = AlgebraConfig::with_max_rows(4);
-    match eval(&Expr::rel("F").project([1]).powerset(), &db, &tight) {
+    let tight = Governor::new(Limits {
+        max_range: 4,
+        ..Limits::default()
+    });
+    match nestdb::algebra::eval_pooled(&Expr::rel("F").project([1]).powerset(), &db, &tight, &pool)
+    {
         Err(AlgebraError::Resource(e)) => {
             println!(
                 "under a {}-row budget the powerset is refused, not attempted —",

@@ -6,15 +6,17 @@
 //! cargo run --example quickstart
 //! ```
 
-use nestdb::core::error::EvalConfig;
-use nestdb::core::eval::eval_query_with;
+use nestdb::core::eval::eval_pooled;
 use nestdb::core::parser::parse_query;
 use nestdb::core::print::Printer;
-use nestdb::core::ranges::safe_eval;
+use nestdb::core::ranges::safe_eval_pooled;
 use nestdb::core::report::{classify, InputAssumption};
+use nestdb::object::Governor;
 use nestdb::object::{Instance, RelationSchema, Schema, Type, Universe, Value};
+use nestdb::ThreadPool;
 
 fn main() {
+    let seq = ThreadPool::sequential();
     // --- a database of people and their friend sets: Friends[U, {U}] ---
     let mut universe = Universe::new();
     let schema = Schema::from_relations([RelationSchema::new(
@@ -52,7 +54,7 @@ fn main() {
         "q1 (mutual friends): {}",
         Printer::with_universe(&universe).query(&q1)
     );
-    let answer = eval_query_with(&db, &q1, EvalConfig::default()).expect("q1 evaluates");
+    let answer = eval_pooled(&q1, &db, &Governor::default(), &seq).expect("q1 evaluates");
     for row in answer.sorted_rows() {
         println!(
             "  ({}, {})",
@@ -65,7 +67,8 @@ fn main() {
     let q2_src = "{[x:U] | exists fx:{U} (Friends(x, fx) /\\ \
                   forall y:U (y in fx -> exists fy:{U} (Friends(y, fy) /\\ ~(fy = {}))))}";
     let q2 = parse_query(q2_src, &mut universe).expect("query 2 parses");
-    let answer2 = safe_eval(&db, &q2, EvalConfig::default()).expect("q2 evaluates safely");
+    let answer2 =
+        safe_eval_pooled(&db, &q2, &Governor::default(), &seq).expect("q2 evaluates safely");
     println!("q2 (friends all have friends):");
     for row in answer2.sorted_rows() {
         println!("  {}", name_of(&universe, &row[0]));
@@ -82,7 +85,7 @@ fn main() {
                     exists fx:{U} (Friends(x, fx) /\\ y in fx) \
                     \\/ exists z:U (S(x, z) /\\ exists fz:{U} (Friends(z, fz) /\\ y in fz)))(u, v)}";
     let q3 = parse_query(q3_src, &mut universe).expect("query 3 parses");
-    let reach = eval_query_with(&db, &q3, EvalConfig::default()).expect("q3 evaluates");
+    let reach = eval_pooled(&q3, &db, &Governor::default(), &seq).expect("q3 evaluates");
     println!(
         "q3 (reachability through friend sets): {} pairs",
         reach.len()

@@ -8,9 +8,9 @@
 //! cargo run --release --example tm_simulation
 //! ```
 
-use nestdb::core::error::EvalConfig;
 use nestdb::core::print::Printer;
 use nestdb::object::encoding::encode_instance;
+use nestdb::object::Governor;
 use nestdb::object::{AtomOrder, Instance, RelationSchema, Schema, Type, Universe, Value};
 use nestdb::tm::formula::CompiledSim;
 use nestdb::tm::machine::{Machine, Move};
@@ -103,7 +103,7 @@ fn main() {
         ],
     ));
     println!("  {}…", &printed[..printed.len().min(200)]);
-    let rel = sim.run(EvalConfig::default()).expect("fixpoint converges");
+    let rel = sim.run(&Governor::default()).expect("fixpoint converges");
     println!(
         "evaluated by the generic engine: {} R_M rows, output {:?} (direct machine says {:?})",
         rel.len(),

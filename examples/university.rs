@@ -9,10 +9,10 @@
 //! cargo run --example university
 //! ```
 
-use nestdb::core::error::EvalConfig;
 use nestdb::core::eval::{active_order, Evaluator};
 use nestdb::core::parser::parse_query;
 use nestdb::density::{analysis, classify, families, DensityClass, MeasureKind};
+use nestdb::object::Governor;
 use nestdb::object::Universe;
 
 fn main() {
@@ -65,7 +65,7 @@ fn main() {
             let mut u = Universe::new();
             let q = parse_query(query_src, &mut u).expect("query parses");
             let order = active_order(&g.instance, &q);
-            let mut ev = Evaluator::new(&g.instance, order, EvalConfig::default());
+            let mut ev = Evaluator::new(&g.instance, order, Governor::default());
             let _ans = ev.query(&q).expect("query evaluates");
             let card = g.instance.cardinality();
             let exponent = (ev.steps_used() as f64).ln() / (card as f64).ln();

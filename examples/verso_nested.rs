@@ -8,15 +8,17 @@
 //! ```
 
 use nestdb::core::ast::{FixOp, Fixpoint, Formula, Term};
-use nestdb::core::error::EvalConfig;
-use nestdb::core::eval::{eval_query_with, Query};
-use nestdb::core::ranges::{compute_ranges, safe_eval};
+use nestdb::core::eval::{eval_pooled, Query};
+use nestdb::core::ranges::{compute_ranges, safe_eval_pooled};
 use nestdb::core::rr;
 use nestdb::core::typeck;
+use nestdb::object::Governor;
 use nestdb::object::{Instance, RelationSchema, Schema, Type, Universe, Value};
+use nestdb::ThreadPool;
 use std::sync::Arc;
 
 fn main() {
+    let seq = ThreadPool::sequential();
     // --- the VERSO-keyed database ---
     let mut u = Universe::new();
     let dept_schema = Schema::from_relations([
@@ -57,7 +59,7 @@ fn main() {
             ]),
         ),
     );
-    let flat = eval_query_with(&db, &unnest, EvalConfig::default()).unwrap();
+    let flat = eval_pooled(&unnest, &db, &Governor::default(), &seq).unwrap();
     println!(
         "unnest(Depts) = {} pairs (matches WorksIn: {})",
         flat.len(),
@@ -97,13 +99,12 @@ fn main() {
             }
         );
     }
-    let ranges =
-        compute_ranges(&db, &checked.var_types, &nest.body, &EvalConfig::default()).unwrap();
+    let ranges = compute_ranges(&db, &checked.var_types, &nest.body, &Governor::default()).unwrap();
     println!("computed ranges (Theorem 5.1):");
     for (path, vals) in ranges.iter() {
         println!("  r({path}) has {} candidate values", vals.len());
     }
-    let nested = safe_eval(&db, &nest, EvalConfig::default()).unwrap();
+    let nested = safe_eval_pooled(&db, &nest, &Governor::default(), &seq).unwrap();
     println!(
         "nest(WorksIn) = {} groups (matches Depts: {})",
         nested.len(),
@@ -130,7 +131,7 @@ fn main() {
         vec![("s".into(), Type::set(Type::Atom))],
         Formula::Eq(Term::var("s"), Term::Fix(everyone)),
     );
-    let ans = safe_eval(&db, &q53, EvalConfig::default()).unwrap();
+    let ans = safe_eval_pooled(&db, &q53, &Governor::default(), &seq).unwrap();
     let row = ans.sorted_rows()[0].clone();
     println!("\nExample 5.3 IFP-term grouping: everyone = {}", row[0]);
     println!("(\"the fixpoint is reached here in one step\" — the paper, and indeed it is)");

@@ -32,8 +32,8 @@ pub enum Error {
     Stratify(StratifyError),
     /// The simultaneous-fixpoint translation or its evaluation failed.
     Simultaneous(SimEvalError),
-    /// Static analysis found errors, so evaluation was refused (raised by
-    /// [`crate::Session::eval_calc_checked`]).
+    /// Static analysis found errors, so evaluation was refused (a
+    /// `Mode::Checked` request to [`crate::Session::run`]).
     Diagnostics(DiagnosticsError),
     /// The durable storage layer failed (I/O, on-disk corruption, an
     /// invalid mutation, or a budget trip while replaying recovery).

@@ -34,17 +34,18 @@
 //! an override runs under a fresh per-request allowance (what the shell
 //! does per evaluation and the server does per tenant).
 //!
-//! The old typed entry points (`eval_calc`, `eval_datalog`, …) remain as
-//! thin deprecated shims over the same internals — `tests/api_equivalence.rs`
-//! asserts `run` is bit-identical to every one of them.
+//! Every engine is reachable two ways from one request: tree-walk
+//! (`planned: false`, the engine's own evaluation function) or planned
+//! (`planned: true`, [`Session::plan_calc`] and friends, then
+//! [`Planned::execute`]). `tests/api_equivalence.rs` asserts both give the
+//! same answer for every engine, mode, and strategy.
 
 use crate::error::Error;
 use minipool::ThreadPool;
 use no_algebra::Expr;
-use no_core::eval::{active_order, Evaluator};
 use no_core::print::Printer;
 use no_core::Query;
-use no_datalog::{EvalStats, Idb, Program, Strategy};
+use no_datalog::{Program, Strategy};
 use no_ivm::{decode_registry, encode_registry, BaseDelta, IvmError, ViewDelta, ViewRegistry};
 use no_object::text::{parse_clause, render_database, Clause};
 use no_object::{Governor, Instance, Limits, Relation, Schema, Type, Universe, Value};
@@ -601,11 +602,23 @@ impl Session {
         };
         let store = self.read_store();
         let instance = store.instance();
+        let (gov, pool) = (&self.governor, &self.pool);
         let result = match (safe, req.planned) {
-            (false, false) => self.calc_active(instance, &query),
-            (false, true) => self.calc_active_planned(instance, &query),
-            (true, false) => self.calc_safe(instance, &query),
-            (true, true) => self.calc_safe_planned(instance, &query),
+            (false, false) => {
+                no_core::eval_pooled(&query, instance, gov, pool).map_err(Error::from)
+            }
+            (true, false) => {
+                no_core::ranges::safe_eval_pooled(instance, &query, gov, pool).map_err(Error::from)
+            }
+            (safe, true) => {
+                let mode = if safe {
+                    CalcMode::Safe
+                } else {
+                    CalcMode::ActiveDomain
+                };
+                self.plan_calc(instance, &query, mode)
+                    .and_then(|p| Ok(p.execute(instance, gov, pool)?.into_relation()))
+            }
         };
         match result {
             Ok(rel) => Response {
@@ -641,48 +654,48 @@ impl Session {
         };
         let store = self.read_store();
         let instance = store.instance();
-        let (idb, rounds) = match req.strategy {
-            no_proto::Strategy::Naive | no_proto::Strategy::SemiNaive => {
-                let strat = if req.strategy == no_proto::Strategy::Naive {
-                    Strategy::Naive
-                } else {
-                    Strategy::SemiNaive
-                };
-                let result = if req.planned {
-                    self.datalog_planned(&program, instance, strat)
-                } else {
-                    self.datalog(&program, instance, strat)
-                };
-                match result {
-                    Ok((idb, stats)) => (idb, Some(stats.rounds as u64)),
-                    Err(e) => return error_response(&e),
+        let (gov, pool) = (&self.governor, &self.pool);
+        let result = if req.planned {
+            let mode = datalog_mode(req.strategy, &program, instance.schema());
+            self.plan_datalog(instance, &program, mode).and_then(|p| {
+                match p.execute(instance, gov, pool)? {
+                    no_plan::Output::Idb(idb, stats) => Ok((idb, stats.map(|s| s.rounds as u64))),
+                    no_plan::Output::Relation(_) => unreachable!("datalog plans return an IDB"),
+                }
+            })
+        } else {
+            match req.strategy {
+                no_proto::Strategy::Naive | no_proto::Strategy::SemiNaive => {
+                    let strategy = if req.strategy == no_proto::Strategy::Naive {
+                        Strategy::Naive
+                    } else {
+                        Strategy::SemiNaive
+                    };
+                    no_datalog::eval_pooled(&program, instance, strategy, gov, pool)
+                        .map(|(idb, stats)| (idb, Some(stats.rounds as u64)))
+                        .map_err(Error::from)
+                }
+                no_proto::Strategy::Stratified => {
+                    no_datalog::eval_stratified_pooled(&program, instance, gov, pool)
+                        .map(|idb| (idb, None))
+                        .map_err(Error::from)
+                }
+                no_proto::Strategy::Simultaneous => {
+                    let typed = infer_body_var_types(&program, instance.schema());
+                    let borrowed: Vec<(&str, Type)> =
+                        typed.iter().map(|(v, t)| (v.as_str(), t.clone())).collect();
+                    let order = no_object::AtomOrder::new(instance.atoms().into_iter().collect());
+                    no_datalog::eval_simultaneous_pooled(
+                        &program, &borrowed, instance, order, gov, pool,
+                    )
+                    .map(|idb| (idb, None))
+                    .map_err(Error::from)
                 }
             }
-            no_proto::Strategy::Stratified => {
-                let result = if req.planned {
-                    self.datalog_stratified_planned(&program, instance)
-                } else {
-                    self.datalog_stratified(&program, instance)
-                };
-                match result {
-                    Ok(idb) => (idb, None),
-                    Err(e) => return error_response(&e),
-                }
-            }
-            no_proto::Strategy::Simultaneous => {
-                let typed = infer_body_var_types(&program, instance.schema());
-                let borrowed: Vec<(&str, Type)> =
-                    typed.iter().map(|(v, t)| (v.as_str(), t.clone())).collect();
-                let result = if req.planned {
-                    self.datalog_simultaneous_planned(&program, &borrowed, instance)
-                } else {
-                    self.datalog_simultaneous(&program, &borrowed, instance)
-                };
-                match result {
-                    Ok(idb) => (idb, None),
-                    Err(e) => return error_response(&e),
-                }
-            }
+        };
+        let (idb, rounds) = match result {
+            Ok(out) => out,
+            Err(e) => return error_response(&e),
         };
         Response {
             ok: true,
@@ -705,10 +718,12 @@ impl Session {
         };
         let store = self.read_store();
         let instance = store.instance();
+        let (gov, pool) = (&self.governor, &self.pool);
         let result = if req.planned {
-            self.algebra_planned(&expr, instance)
+            self.plan_algebra(instance, &expr)
+                .and_then(|p| Ok(p.execute(instance, gov, pool)?.into_relation()))
         } else {
-            self.algebra(&expr, instance)
+            no_algebra::eval_pooled(&expr, instance, gov, pool).map_err(Error::from)
         };
         match result {
             Ok(rel) => Response {
@@ -784,14 +799,7 @@ impl Session {
                     }
                 };
                 let store = self.read_store();
-                let mode = match req.strategy {
-                    no_proto::Strategy::Naive => DatalogMode::Naive,
-                    no_proto::Strategy::SemiNaive => DatalogMode::SemiNaive,
-                    no_proto::Strategy::Stratified => DatalogMode::Stratified,
-                    no_proto::Strategy::Simultaneous => DatalogMode::Simultaneous(
-                        infer_body_var_types(&program, store.instance().schema()),
-                    ),
-                };
+                let mode = datalog_mode(req.strategy, &program, store.instance().schema());
                 self.plan_datalog(store.instance(), &program, mode)
                     .map_err(|e| error_response(&e))
             }
@@ -1203,233 +1211,6 @@ impl Session {
         db.sync().map_err(Error::from)
     }
 
-    // ----- engine internals (the legacy shims and `run` share these) ---
-
-    fn calc_active(&self, instance: &Instance, query: &Query) -> Result<Relation, Error> {
-        let order = active_order(instance, query);
-        let mut ev = Evaluator::with_governor(instance, order, self.governor.clone())
-            .with_pool(self.pool.clone());
-        ev.query(query).map_err(Error::from)
-    }
-
-    fn calc_safe(&self, instance: &Instance, query: &Query) -> Result<Relation, Error> {
-        no_core::ranges::safe_eval_pooled(instance, query, &self.governor, &self.pool)
-            .map_err(Error::from)
-    }
-
-    fn datalog(
-        &self,
-        program: &Program,
-        instance: &Instance,
-        strategy: Strategy,
-    ) -> Result<(Idb, EvalStats), Error> {
-        no_datalog::eval_pooled(program, instance, strategy, &self.governor, &self.pool)
-            .map_err(Error::from)
-    }
-
-    fn datalog_stratified(&self, program: &Program, instance: &Instance) -> Result<Idb, Error> {
-        no_datalog::eval_stratified_pooled(program, instance, &self.governor, &self.pool)
-            .map_err(Error::from)
-    }
-
-    fn datalog_simultaneous(
-        &self,
-        program: &Program,
-        body_var_types: &[(&str, Type)],
-        instance: &Instance,
-    ) -> Result<Idb, Error> {
-        let order = no_object::AtomOrder::new(instance.atoms().into_iter().collect());
-        no_datalog::eval_simultaneous_pooled(
-            program,
-            body_var_types,
-            instance,
-            order,
-            &self.governor,
-            &self.pool,
-        )
-        .map_err(Error::from)
-    }
-
-    fn algebra(&self, expr: &Expr, instance: &Instance) -> Result<Relation, Error> {
-        no_algebra::eval_pooled(expr, instance, &self.governor, &self.pool).map_err(Error::from)
-    }
-
-    fn calc_checked(
-        &self,
-        instance: &Instance,
-        src: &str,
-        universe: &mut Universe,
-    ) -> Result<Relation, Error> {
-        let analysis = no_analysis::analyze_calc(instance.schema(), src, universe);
-        if analysis.has_errors() {
-            return Err(no_analysis::DiagnosticsError::new(&analysis).into());
-        }
-        let query =
-            no_core::parse_query(src, universe).expect("analysis passed, so the query parses");
-        if analysis.is_rr_safe() {
-            self.calc_safe(instance, &query)
-        } else {
-            self.calc_active(instance, &query)
-        }
-    }
-
-    fn calc_active_planned(&self, instance: &Instance, query: &Query) -> Result<Relation, Error> {
-        let planned = self.plan_calc(instance, query, CalcMode::ActiveDomain)?;
-        let out = planned.execute(instance, &self.governor, &self.pool)?;
-        Ok(out.into_relation())
-    }
-
-    fn calc_safe_planned(&self, instance: &Instance, query: &Query) -> Result<Relation, Error> {
-        let planned = self.plan_calc(instance, query, CalcMode::Safe)?;
-        let out = planned.execute(instance, &self.governor, &self.pool)?;
-        Ok(out.into_relation())
-    }
-
-    fn algebra_planned(&self, expr: &Expr, instance: &Instance) -> Result<Relation, Error> {
-        let planned = self.plan_algebra(instance, expr)?;
-        let out = planned.execute(instance, &self.governor, &self.pool)?;
-        Ok(out.into_relation())
-    }
-
-    fn datalog_planned(
-        &self,
-        program: &Program,
-        instance: &Instance,
-        strategy: Strategy,
-    ) -> Result<(Idb, EvalStats), Error> {
-        let mode = match strategy {
-            Strategy::Naive => DatalogMode::Naive,
-            Strategy::SemiNaive => DatalogMode::SemiNaive,
-        };
-        let planned = self.plan_datalog(instance, program, mode)?;
-        match planned.execute(instance, &self.governor, &self.pool)? {
-            no_plan::Output::Idb(idb, Some(stats)) => Ok((idb, stats)),
-            _ => unreachable!("round strategies report stats"),
-        }
-    }
-
-    fn datalog_stratified_planned(
-        &self,
-        program: &Program,
-        instance: &Instance,
-    ) -> Result<Idb, Error> {
-        let planned = self.plan_datalog(instance, program, DatalogMode::Stratified)?;
-        let out = planned.execute(instance, &self.governor, &self.pool)?;
-        Ok(out.into_idb())
-    }
-
-    fn datalog_simultaneous_planned(
-        &self,
-        program: &Program,
-        body_var_types: &[(&str, Type)],
-        instance: &Instance,
-    ) -> Result<Idb, Error> {
-        let typed: Vec<(String, Type)> = body_var_types
-            .iter()
-            .map(|(v, t)| (v.to_string(), t.clone()))
-            .collect();
-        let planned = self.plan_datalog(instance, program, DatalogMode::Simultaneous(typed))?;
-        let out = planned.execute(instance, &self.governor, &self.pool)?;
-        Ok(out.into_idb())
-    }
-
-    // ----- deprecated typed shims -------------------------------------
-
-    /// Evaluate a CALC query under the active-domain semantics.
-    #[deprecated(note = "use Session::run with a Request { mode: Fast }")]
-    pub fn eval_calc(&self, instance: &Instance, query: &Query) -> Result<Relation, Error> {
-        self.calc_active(instance, query)
-    }
-
-    /// Evaluate a CALC query under the restricted-domain semantics of
-    /// Theorem 5.1: compute ranges first, then enumerate only them.
-    #[deprecated(note = "use Session::run with a Request { mode: Safe }")]
-    pub fn eval_calc_safe(&self, instance: &Instance, query: &Query) -> Result<Relation, Error> {
-        self.calc_safe(instance, query)
-    }
-
-    /// Evaluate a Datalog¬ program with inflationary semantics.
-    #[deprecated(note = "use Session::run with a Request { lang: Datalog }")]
-    pub fn eval_datalog(
-        &self,
-        program: &Program,
-        instance: &Instance,
-        strategy: Strategy,
-    ) -> Result<(Idb, EvalStats), Error> {
-        self.datalog(program, instance, strategy)
-    }
-
-    /// Evaluate a Datalog¬ program with stratified semantics.
-    #[deprecated(note = "use Session::run with a Request { strategy: Stratified }")]
-    pub fn eval_datalog_stratified(
-        &self,
-        program: &Program,
-        instance: &Instance,
-    ) -> Result<Idb, Error> {
-        self.datalog_stratified(program, instance)
-    }
-
-    /// Evaluate a Datalog¬ program by translating it into one simultaneous
-    /// `IFP` fixpoint and running that on the CALC evaluator.
-    #[deprecated(note = "use Session::run with a Request { strategy: Simultaneous }")]
-    pub fn eval_datalog_simultaneous(
-        &self,
-        program: &Program,
-        body_var_types: &[(&str, Type)],
-        instance: &Instance,
-    ) -> Result<Idb, Error> {
-        self.datalog_simultaneous(program, body_var_types, instance)
-    }
-
-    /// Evaluate an algebra expression.
-    #[deprecated(note = "use Session::run with a Request { lang: Algebra }")]
-    pub fn eval_algebra(&self, expr: &Expr, instance: &Instance) -> Result<Relation, Error> {
-        self.algebra(expr, instance)
-    }
-
-    /// Statically analyze a CALC query: diagnostics (spans, codes, paper
-    /// citations) plus a `⟨i,k⟩` complexity certificate when well-formed.
-    ///
-    /// Analysis is pure — it never evaluates and spends none of the
-    /// session's governor budget, so it is safe to run on untrusted input
-    /// before committing fuel to evaluation.
-    #[deprecated(note = "use Session::run with a Request { op: Analyze }")]
-    pub fn analyze(
-        &self,
-        schema: &no_object::Schema,
-        src: &str,
-        universe: &mut no_object::Universe,
-    ) -> no_analysis::Analysis {
-        no_analysis::analyze_calc(schema, src, universe)
-    }
-
-    /// Statically analyze a Datalog¬ program (same contract as
-    /// [`Session::analyze`]).
-    #[deprecated(note = "use Session::run with a Request { op: Analyze, lang: Datalog }")]
-    pub fn analyze_datalog(
-        &self,
-        schema: &no_object::Schema,
-        src: &str,
-        universe: &mut no_object::Universe,
-    ) -> no_analysis::Analysis {
-        no_analysis::analyze_datalog(schema, src, universe)
-    }
-
-    /// Analyze, then evaluate only if analysis found no errors; a refusal
-    /// comes back as [`Error::Diagnostics`] carrying every finding.
-    /// Certified range-restricted queries run under the restricted-domain
-    /// semantics (Theorem 5.1); others fall back to active-domain
-    /// enumeration.
-    #[deprecated(note = "use Session::run with a Request { mode: Checked }")]
-    pub fn eval_calc_checked(
-        &self,
-        instance: &Instance,
-        src: &str,
-        universe: &mut no_object::Universe,
-    ) -> Result<Relation, Error> {
-        self.calc_checked(instance, src, universe)
-    }
-
     // ----- compile-to-plan entry points -------------------------------
 
     /// Compile (or fetch from the plan cache) under the session's pass
@@ -1486,87 +1267,6 @@ impl Session {
         self.cached(key, || self.planner(instance).plan_datalog(program, mode))
     }
 
-    /// [`Session::eval_calc`] through the plan pipeline: compile (or hit
-    /// the plan cache), optimize, execute on the same kernels under the
-    /// same governor.
-    #[deprecated(note = "use Session::run with a Request { mode: Fast, planned: true }")]
-    pub fn eval_calc_planned(&self, instance: &Instance, query: &Query) -> Result<Relation, Error> {
-        self.calc_active_planned(instance, query)
-    }
-
-    /// [`Session::eval_calc_safe`] through the plan pipeline.
-    #[deprecated(note = "use Session::run with a Request { mode: Safe, planned: true }")]
-    pub fn eval_calc_safe_planned(
-        &self,
-        instance: &Instance,
-        query: &Query,
-    ) -> Result<Relation, Error> {
-        self.calc_safe_planned(instance, query)
-    }
-
-    /// [`Session::eval_algebra`] through the plan pipeline (predicate
-    /// pushdown runs here).
-    #[deprecated(note = "use Session::run with a Request { lang: Algebra, planned: true }")]
-    pub fn eval_algebra_planned(
-        &self,
-        expr: &Expr,
-        instance: &Instance,
-    ) -> Result<Relation, Error> {
-        self.algebra_planned(expr, instance)
-    }
-
-    /// [`Session::eval_datalog`] through the plan pipeline. A `SemiNaive`
-    /// request runs the delta-rewritten plan; `Naive` opts out.
-    #[deprecated(note = "use Session::run with a Request { lang: Datalog, planned: true }")]
-    pub fn eval_datalog_planned(
-        &self,
-        program: &Program,
-        instance: &Instance,
-        strategy: Strategy,
-    ) -> Result<(Idb, EvalStats), Error> {
-        self.datalog_planned(program, instance, strategy)
-    }
-
-    /// [`Session::eval_datalog_stratified`] through the plan pipeline.
-    #[deprecated(note = "use Session::run with a Request { strategy: Stratified, planned: true }")]
-    pub fn eval_datalog_stratified_planned(
-        &self,
-        program: &Program,
-        instance: &Instance,
-    ) -> Result<Idb, Error> {
-        self.datalog_stratified_planned(program, instance)
-    }
-
-    /// [`Session::eval_datalog_simultaneous`] through the plan pipeline.
-    #[deprecated(
-        note = "use Session::run with a Request { strategy: Simultaneous, planned: true }"
-    )]
-    pub fn eval_datalog_simultaneous_planned(
-        &self,
-        program: &Program,
-        body_var_types: &[(&str, Type)],
-        instance: &Instance,
-    ) -> Result<Idb, Error> {
-        self.datalog_simultaneous_planned(program, body_var_types, instance)
-    }
-
-    /// Explain a query: the compiled, optimized plan with its pass
-    /// provenance, estimates, and early-trip warnings. Rendering is
-    /// deterministic — `planned.render_text()` / `planned.render_json()`
-    /// are snapshot-tested goldens.
-    #[deprecated(note = "use Session::run with a Request { op: Explain }")]
-    pub fn explain(
-        &self,
-        instance: &Instance,
-        target: ExplainTarget<'_>,
-    ) -> Result<Arc<Planned>, Error> {
-        match target {
-            ExplainTarget::Calc { query, mode } => self.plan_calc(instance, query, mode),
-            ExplainTarget::Algebra(expr) => self.plan_algebra(instance, expr),
-            ExplainTarget::Datalog { program, mode } => self.plan_datalog(instance, program, mode),
-        }
-    }
-
     /// `(hits, misses)` of the session's plan cache.
     pub fn plan_cache_stats(&self) -> (u64, u64) {
         self.plans.lock().unwrap().stats()
@@ -1578,26 +1278,6 @@ impl Session {
     pub fn clear_plan_cache(&self) {
         self.plans.lock().unwrap().clear()
     }
-}
-
-/// What [`Session::explain`] should compile.
-pub enum ExplainTarget<'a> {
-    /// A CALC query under the given semantics.
-    Calc {
-        /// The query.
-        query: &'a Query,
-        /// Active-domain or safe evaluation.
-        mode: CalcMode,
-    },
-    /// An algebra expression.
-    Algebra(&'a Expr),
-    /// A Datalog¬ program under a strategy.
-    Datalog {
-        /// The program.
-        program: &'a Program,
-        /// The strategy.
-        mode: DatalogMode,
-    },
 }
 
 // ---------------------------------------------------------------------------
@@ -1747,6 +1427,19 @@ fn relation_out(universe: &Universe, name: &str, rel: &Relation) -> RelationOut 
     }
 }
 
+/// The plan mode a wire strategy names; simultaneous IFP infers its
+/// body-variable types from the program.
+fn datalog_mode(strategy: no_proto::Strategy, program: &Program, schema: &Schema) -> DatalogMode {
+    match strategy {
+        no_proto::Strategy::Naive => DatalogMode::Naive,
+        no_proto::Strategy::SemiNaive => DatalogMode::SemiNaive,
+        no_proto::Strategy::Stratified => DatalogMode::Stratified,
+        no_proto::Strategy::Simultaneous => {
+            DatalogMode::Simultaneous(infer_body_var_types(program, schema))
+        }
+    }
+}
+
 /// Infer the `body_var_types` argument of the simultaneous-IFP translation
 /// from the program itself: every variable that occurs in some rule body
 /// but not in that rule's head, typed by the column it occurs at (IDB
@@ -1789,10 +1482,8 @@ fn infer_body_var_types(program: &Program, schema: &Schema) -> Vec<(String, Type
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the legacy shims are exercised on purpose here
 mod tests {
     use super::*;
-    use no_algebra::Pred;
     use no_datalog::{DTerm, Literal};
     use no_object::{RelationSchema, Schema, Universe, Value};
 
@@ -1809,10 +1500,7 @@ mod tests {
     }
 
     fn graph_session(edges: &[(&str, &str)]) -> Session {
-        let (u, i) = graph(edges);
-        Session::builder()
-            .store(Arc::new(RwLock::new(Store::with_data(u, i))))
-            .build()
+        graph_session_with(edges, Session::builder())
     }
 
     fn tc_program() -> Program {
@@ -1839,98 +1527,133 @@ mod tests {
 
     const TC_SRC: &str = "rel tc(U, U).\ntc(x, y) :- G(x, y).\ntc(x, y) :- tc(x, z), G(z, y).";
 
+    /// A store over `edges` shared by sessions built from `builder`.
+    fn graph_session_with(edges: &[(&str, &str)], builder: SessionBuilder) -> Session {
+        let (u, i) = graph(edges);
+        builder
+            .store(Arc::new(RwLock::new(Store::with_data(u, i))))
+            .build()
+    }
+
+    fn datalog(strategy: no_proto::Strategy) -> Request {
+        Request {
+            lang: Lang::Datalog,
+            strategy,
+            text: TC_SRC.into(),
+            ..Request::default()
+        }
+    }
+
+    fn calc(mode: Mode) -> Request {
+        Request {
+            mode,
+            text: "{[x:U, y:U] | G(x, y)}".into(),
+            ..Request::default()
+        }
+    }
+
+    fn rows_of(r: &Response, name: &str) -> usize {
+        assert!(r.ok, "{:?}", r.error);
+        r.relations
+            .iter()
+            .find(|r| r.name == name)
+            .unwrap()
+            .rows
+            .len()
+    }
+
     #[test]
     fn session_runs_every_engine() {
-        let (mut u, i) = graph(&[("a", "b"), ("b", "c")]);
         for threads in [1, 4] {
-            let s = Session::builder().parallelism(threads).build();
+            let s = graph_session_with(
+                &[("a", "b"), ("b", "c")],
+                Session::builder().parallelism(threads),
+            );
             assert_eq!(s.parallelism(), threads);
-            let q = no_core::parse_query("{[x:U, y:U] | G(x, y)}", &mut u).unwrap();
-            assert_eq!(s.eval_calc(&i, &q).unwrap().len(), 2);
-            assert_eq!(s.eval_calc_safe(&i, &q).unwrap().len(), 2);
-            let (idb, _) = s
-                .eval_datalog(&tc_program(), &i, Strategy::SemiNaive)
-                .unwrap();
-            assert_eq!(idb["tc"].len(), 3);
-            let idb = s.eval_datalog_stratified(&tc_program(), &i).unwrap();
-            assert_eq!(idb["tc"].len(), 3);
-            let idb = s
-                .eval_datalog_simultaneous(&tc_program(), &[("z", Type::Atom)], &i)
-                .unwrap();
-            assert_eq!(idb["tc"].len(), 3);
-            let e = Expr::rel("G").select(Pred::EqCols(1, 1));
-            assert_eq!(s.eval_algebra(&e, &i).unwrap().len(), 2);
+            assert_eq!(rows_of(&s.run(&calc(Mode::Fast)), "result"), 2);
+            assert_eq!(rows_of(&s.run(&calc(Mode::Safe)), "result"), 2);
+            for strategy in [
+                no_proto::Strategy::SemiNaive,
+                no_proto::Strategy::Stratified,
+                no_proto::Strategy::Simultaneous,
+            ] {
+                assert_eq!(rows_of(&s.run(&datalog(strategy)), "tc"), 3);
+            }
+            let e = Request::eval(Lang::Algebra, "select[eq(1, 1)](G)");
+            assert_eq!(rows_of(&s.run(&e), "result"), 2);
         }
     }
 
     #[test]
     fn session_shares_one_budget_across_engines() {
-        let (_u, i) = graph(&[("a", "b"), ("b", "c"), ("c", "d")]);
-        let s = Session::builder()
-            .limits(Limits {
+        let s = graph_session_with(
+            &[("a", "b"), ("b", "c"), ("c", "d")],
+            Session::builder().limits(Limits {
                 max_steps: 60,
                 ..Limits::unlimited()
-            })
-            .build();
+            }),
+        );
+        let tc = datalog(no_proto::Strategy::SemiNaive);
         // datalog spends most of the fuel…
-        let first = s.eval_datalog(&tc_program(), &i, Strategy::SemiNaive);
+        let first = s.run(&tc);
         // …so by some point an evaluation trips, and the trip is
         // recognisable without matching engine-specific variants
-        let mut tripped = first.is_err();
+        let mut tripped = !first.ok;
         for _ in 0..20 {
             if tripped {
                 break;
             }
-            tripped = s
-                .eval_algebra(&Expr::rel("G").product(Expr::rel("G")), &i)
-                .is_err();
+            tripped = !s.run(&Request::eval(Lang::Algebra, "(G x G)")).ok;
         }
         assert!(tripped, "shared budget never tripped");
-        let err = s
-            .eval_datalog(&tc_program(), &i, Strategy::SemiNaive)
-            .unwrap_err();
-        assert!(err.is_resource_trip());
+        let r = s.run(&tc);
+        assert!(r.error.as_ref().unwrap().resource_trip, "{:?}", r.error);
     }
 
     #[test]
     fn analyze_is_pure_and_spends_no_fuel() {
-        let (mut u, i) = graph(&[("a", "b")]);
         // zero fuel: any evaluation attempt would trip immediately
-        let s = Session::builder()
-            .limits(Limits {
-                max_steps: 0,
-                ..Limits::unlimited()
-            })
-            .parallelism(4)
-            .build();
-        let a = s.analyze(i.schema(), "{[x:U, y:U] | G(x, y)}", &mut u);
-        assert!(a.is_rr_safe(), "{:?}", a.diagnostics);
-        let d = s.analyze_datalog(i.schema(), "rel tc(U, U).\ntc(x, y) :- G(x, y).", &mut u);
-        assert!(d.is_rr_safe(), "{:?}", d.diagnostics);
+        let s = graph_session_with(
+            &[("a", "b")],
+            Session::builder()
+                .limits(Limits {
+                    max_steps: 0,
+                    ..Limits::unlimited()
+                })
+                .parallelism(4),
+        );
+        for (lang, text) in [
+            (Lang::Calc, "{[x:U, y:U] | G(x, y)}"),
+            (Lang::Datalog, "rel tc(U, U).\ntc(x, y) :- G(x, y)."),
+        ] {
+            let r = s.run(&Request {
+                op: Op::Analyze,
+                lang,
+                text: text.into(),
+                ..Request::default()
+            });
+            assert!(r.ok, "{:?}", r.error);
+            let a = r.analysis.as_ref().unwrap();
+            assert_eq!(a.errors, 0, "{}", a.text);
+            assert!(a.json.contains("\"range_restricted\": true"), "{}", a.json);
+        }
         assert_eq!(s.governor().steps_spent(), 0, "analysis must not evaluate");
     }
 
     #[test]
     fn checked_eval_refuses_on_errors_and_runs_when_clean() {
-        let (mut u, i) = graph(&[("a", "b"), ("b", "c")]);
-        let s = Session::default();
-        let out = s
-            .eval_calc_checked(&i, "{[x:U, y:U] | G(x, y)}", &mut u)
-            .unwrap();
-        assert_eq!(out.len(), 2);
-        let err = s
-            .eval_calc_checked(&i, "{[x:U] | H(x)}", &mut u)
-            .unwrap_err();
-        match &err {
-            Error::Diagnostics(d) => {
-                assert_eq!(
-                    d.diagnostics[0].code,
-                    no_analysis::codes::TY_UNKNOWN_RELATION
-                )
-            }
-            other => panic!("expected Diagnostics, got {other}"),
-        }
-        assert!(!err.is_resource_trip());
+        let s = graph_session(&[("a", "b"), ("b", "c")]);
+        assert_eq!(rows_of(&s.run(&calc(Mode::Checked)), "result"), 2);
+        let r = s.run(&Request {
+            mode: Mode::Checked,
+            text: "{[x:U] | H(x)}".into(),
+            ..Request::default()
+        });
+        let e = r.error.as_ref().unwrap();
+        assert_eq!(e.kind, "diagnostics");
+        assert!(!e.resource_trip);
+        let code = no_analysis::codes::TY_UNKNOWN_RELATION;
+        assert!(r.analysis.as_ref().unwrap().text.contains(code));
     }
 
     #[test]
@@ -1958,11 +1681,11 @@ mod tests {
 
         // A roomy session recovers the data and queries it directly.
         let s2 = Session::builder().sync_policy(SyncPolicy::Manual).build();
-        let mut db = s2.open(&dir).unwrap();
+        let db = s2.open(&dir).unwrap();
         assert_eq!(db.epoch(), 1);
-        let q = no_core::parse_query("{[x:U, y:U] | G(x, y)}", db.universe_mut()).unwrap();
-        let out = s2.eval_calc(db.instance(), &q).unwrap();
-        assert_eq!(out.len(), 2);
+        s2.store().write().unwrap().attach(db);
+        assert_eq!(rows_of(&s2.run(&calc(Mode::Fast)), "result"), 2);
+        let mut db = s2.store().write().unwrap().detach().unwrap();
         s2.sync(&mut db).unwrap();
         drop(db);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1970,20 +1693,17 @@ mod tests {
 
     #[test]
     fn cancellation_reaches_every_engine() {
-        let (mut u, i) = graph(&[("a", "b")]);
         let g = Governor::default();
-        let s = Session::builder().governor(g.clone()).build();
+        let s = graph_session_with(&[("a", "b")], Session::builder().governor(g.clone()));
         g.cancel();
-        let q = no_core::parse_query("{[x:U, y:U] | G(x, y)}", &mut u).unwrap();
-        assert!(s.eval_calc(&i, &q).unwrap_err().is_resource_trip());
-        assert!(s
-            .eval_datalog(&tc_program(), &i, Strategy::Naive)
-            .unwrap_err()
-            .is_resource_trip());
-        assert!(s
-            .eval_algebra(&Expr::rel("G"), &i)
-            .unwrap_err()
-            .is_resource_trip());
+        for req in [
+            calc(Mode::Fast),
+            datalog(no_proto::Strategy::Naive),
+            Request::eval(Lang::Algebra, "G"),
+        ] {
+            let r = s.run(&req);
+            assert!(r.error.as_ref().unwrap().resource_trip, "{:?}", r.error);
+        }
     }
 
     // ----- Session::run ------------------------------------------------

@@ -21,10 +21,10 @@
 //! budget diagnostics, row truncation) on its side of that line.
 
 use crate::session::{Session, Store};
-use no_core::error::EvalConfig;
 use no_core::parser::parse_query;
 use no_core::report::{classify, InputAssumption};
 use no_object::text::{parse_database, render_database};
+use no_object::{Governor, Limits};
 use no_proto::{Lang, LimitsSpec, Mode, Op, Request, Response, Spend};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 pub struct Shell {
     store: Arc<RwLock<Store>>,
     session: Session,
-    config: EvalConfig,
+    limits: Limits,
     active_domain: bool,
     threads: usize,
 }
@@ -53,7 +53,7 @@ impl Shell {
         Shell {
             store,
             session,
-            config: EvalConfig::default(),
+            limits: Limits::default(),
             active_domain: false,
             threads: 1,
         }
@@ -71,12 +71,12 @@ impl Shell {
     /// fresh allowance (a tripped query never eats the next one's fuel).
     fn limits_spec(&self) -> LimitsSpec {
         LimitsSpec {
-            max_steps: Some(self.config.max_steps),
-            max_range: Some(self.config.max_range),
-            max_fixpoint_iters: Some(self.config.max_fixpoint_iters),
-            max_memory_bytes: Some(self.config.max_memory_bytes),
+            max_steps: Some(self.limits.max_steps),
+            max_range: Some(self.limits.max_range),
+            max_fixpoint_iters: Some(self.limits.max_fixpoint_iters),
+            max_memory_bytes: Some(self.limits.max_memory_bytes),
             // 0 is the wire encoding for "no deadline".
-            deadline_ms: Some(match self.config.deadline {
+            deadline_ms: Some(match self.limits.deadline {
                 Some(d) => (d.as_millis() as u64).max(1),
                 None => 0,
             }),
@@ -154,7 +154,7 @@ impl Shell {
                 v.to_string()
             }
         };
-        let deadline = match self.config.deadline {
+        let deadline = match self.limits.deadline {
             Some(d) => format!("{} ms", d.as_millis()),
             None => "unlimited".to_string(),
         };
@@ -166,9 +166,9 @@ impl Shell {
             "{err}\nbudgets: steps {}/{}, memory {}/{} bytes, elapsed {:.1} ms (deadline {})\n\
              the database is unchanged; raise :budget, :mem or :deadline, or simplify the query",
             steps,
-            show(self.config.max_steps),
+            show(self.limits.max_steps),
             mem,
-            show(self.config.max_memory_bytes),
+            show(self.limits.max_memory_bytes),
             elapsed_ms,
             deadline,
         )
@@ -257,7 +257,12 @@ impl Shell {
                 m.quantifier_rank,
                 m.fixpoint_depth
             );
-            match compute_ranges(instance, &checked.var_types, &query.body, &self.config) {
+            match compute_ranges(
+                instance,
+                &checked.var_types,
+                &query.body,
+                &Governor::new(self.limits.clone()),
+            ) {
                 Ok(ranges) => {
                     out.push_str("computed ranges (Theorem 5.1):\n");
                     let mut any = false;
@@ -467,18 +472,18 @@ impl Shell {
                 "datalog" => self.run_datalog(arg).map(Some),
                 "budget" => match arg.parse::<u64>() {
                     Ok(n) => {
-                        self.config.max_range = n;
+                        self.limits.max_range = n;
                         Ok(Some(format!("max quantifier range set to {n}")))
                     }
                     Err(_) => Err(format!("not a number: {arg}")),
                 },
                 "deadline" => match arg.parse::<u64>() {
                     Ok(0) => {
-                        self.config.deadline = None;
+                        self.limits.deadline = None;
                         Ok(Some("deadline cleared (unlimited wall clock)".to_string()))
                     }
                     Ok(ms) => {
-                        self.config.deadline = Some(Duration::from_millis(ms));
+                        self.limits.deadline = Some(Duration::from_millis(ms));
                         Ok(Some(format!("deadline set to {ms} ms per evaluation")))
                     }
                     Err(_) => Err(format!("not a number of milliseconds: {arg}")),
@@ -497,11 +502,11 @@ impl Shell {
                 },
                 "mem" => match arg.parse::<u64>() {
                     Ok(0) => {
-                        self.config.max_memory_bytes = u64::MAX;
+                        self.limits.max_memory_bytes = u64::MAX;
                         Ok(Some("memory budget cleared (unlimited)".to_string()))
                     }
                     Ok(bytes) => {
-                        self.config.max_memory_bytes = bytes;
+                        self.limits.max_memory_bytes = bytes;
                         Ok(Some(format!(
                             "memory budget set to {bytes} bytes of materialised values"
                         )))
@@ -637,7 +642,7 @@ mod tests {
         sh.command(":mem 0").unwrap();
 
         // Zero step fuel trips immediately, in both evaluation modes.
-        sh.config.max_steps = 0;
+        sh.limits.max_steps = 0;
         let err = sh.command("{[x:U, y:U] | G(x, y)}").unwrap_err();
         assert!(err.contains("step"), "{err}");
         assert!(err.contains("budgets:"), "{err}");
@@ -645,7 +650,7 @@ mod tests {
         let err = sh.command("{[x:U, y:U] | G(x, y)}").unwrap_err();
         assert!(err.contains("step"), "{err}");
         sh.command(":active").unwrap();
-        sh.config.max_steps = u64::MAX;
+        sh.limits.max_steps = u64::MAX;
 
         // The shell is still fully usable after every trip.
         let out = sh.command("{[x:U, y:U] | G(x, y)}").unwrap().unwrap();
@@ -657,17 +662,17 @@ mod tests {
         let mut sh = loaded_shell();
         let out = sh.command(":deadline 250").unwrap().unwrap();
         assert!(out.contains("250 ms"), "{out}");
-        assert_eq!(sh.config.deadline, Some(Duration::from_millis(250)));
+        assert_eq!(sh.limits.deadline, Some(Duration::from_millis(250)));
         let out = sh.command(":deadline 0").unwrap().unwrap();
         assert!(out.contains("unlimited"), "{out}");
-        assert_eq!(sh.config.deadline, None);
+        assert_eq!(sh.limits.deadline, None);
 
         let out = sh.command(":mem 4096").unwrap().unwrap();
         assert!(out.contains("4096 bytes"), "{out}");
-        assert_eq!(sh.config.max_memory_bytes, 4096);
+        assert_eq!(sh.limits.max_memory_bytes, 4096);
         let out = sh.command(":mem 0").unwrap().unwrap();
         assert!(out.contains("unlimited"), "{out}");
-        assert_eq!(sh.config.max_memory_bytes, u64::MAX);
+        assert_eq!(sh.limits.max_memory_bytes, u64::MAX);
 
         assert!(sh.command(":deadline soon").is_err());
         assert!(sh.command(":mem lots").is_err());
@@ -676,7 +681,7 @@ mod tests {
     #[test]
     fn datalog_resource_errors_survive() {
         let mut sh = loaded_shell();
-        sh.config.max_steps = 1;
+        sh.limits.max_steps = 1;
         let dir = std::env::temp_dir().join("nestdb_shell_dl_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("tc.dl");
@@ -690,7 +695,7 @@ mod tests {
             .unwrap_err();
         assert!(err.contains("step"), "{err}");
         assert!(err.contains("budgets:"), "{err}");
-        sh.config.max_steps = u64::MAX;
+        sh.limits.max_steps = u64::MAX;
         let out = sh
             .command(&format!(":datalog {}", path.display()))
             .unwrap()
@@ -781,7 +786,7 @@ mod tests {
     fn check_is_pure_under_any_budget_and_thread_count() {
         let mut sh = loaded_shell();
         // zero fuel: evaluation would trip instantly, analysis must not
-        sh.config.max_steps = 0;
+        sh.limits.max_steps = 0;
         sh.command(":threads 4").unwrap();
         let out = sh
             .command(":check {[x:U, y:U] | G(x, y)}")

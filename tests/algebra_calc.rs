@@ -5,19 +5,19 @@
 mod common;
 
 use common::*;
-use nestdb::algebra::{eval as alg_eval, AlgebraConfig, Expr, Pred};
+use nestdb::algebra::{self, Expr, Pred};
 use nestdb::core::ast::{Formula, Term};
-use nestdb::core::error::EvalConfig;
-use nestdb::core::eval::{eval_query_with, Query};
-use nestdb::object::Type;
+use nestdb::core::eval::{eval_pooled, Query};
+use nestdb::object::{Governor, Limits, Type};
+use nestdb::ThreadPool;
 use proptest::prelude::*;
 
 fn alg(e: &Expr, i: &nestdb::object::Instance) -> nestdb::object::Relation {
-    alg_eval(e, i, &AlgebraConfig::default()).unwrap()
+    algebra::eval_pooled(e, i, &Governor::default(), &ThreadPool::sequential()).unwrap()
 }
 
 fn calc(q: &Query, i: &nestdb::object::Instance) -> nestdb::object::Relation {
-    eval_query_with(i, q, EvalConfig::default()).unwrap()
+    eval_pooled(q, i, &Governor::default(), &ThreadPool::sequential()).unwrap()
 }
 
 proptest! {
@@ -91,7 +91,9 @@ proptest! {
                 ),
             ]),
         );
-        let by_calc = nestdb::core::ranges::safe_eval(&i, &q, EvalConfig::default()).unwrap();
+        let seq = ThreadPool::sequential();
+        let by_calc =
+            nestdb::core::ranges::safe_eval_pooled(&i, &q, &Governor::default(), &seq).unwrap();
         prop_assert_eq!(a, by_calc);
     }
 
@@ -155,10 +157,11 @@ fn join_agrees() {
 /// the same budget.
 #[test]
 fn powerset_recursion_blows_budget_where_ifp_does_not() {
+    let seq = ThreadPool::sequential();
     let edges: Vec<(usize, usize)> = (0..14).map(|k| (k, (k + 1) % 14)).collect();
     let (_u, _o, i) = graph_instance(14, &edges);
     // IFP: fine
-    let ifp = eval_query_with(&i, &tc_query(), EvalConfig::default()).unwrap();
+    let ifp = eval_pooled(&tc_query(), &i, &Governor::default(), &seq).unwrap();
     assert_eq!(ifp.len(), 14 * 14);
     // powerset of the 14 source nodes = 2^14 subsets — over a 1000-row budget
     let edge_sets = Expr::rel("G")
@@ -167,8 +170,11 @@ fn powerset_recursion_blows_budget_where_ifp_does_not() {
         .nest(2)
         .project([2])
         .powerset();
-    let tight = AlgebraConfig::with_max_rows(1000);
-    match alg_eval(&edge_sets, &i, &tight) {
+    let tight = Limits {
+        max_range: 1000,
+        ..Limits::default()
+    };
+    match algebra::eval_pooled(&edge_sets, &i, &Governor::new(tight), &seq) {
         Err(nestdb::algebra::AlgebraError::Resource(e)) => {
             assert_eq!(e.budget, nestdb::object::BudgetKind::Range);
         }

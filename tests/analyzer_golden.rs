@@ -12,7 +12,9 @@
 
 use nestdb::check::CorpusReport;
 use nestdb::object::text::parse_database;
+use nestdb::object::Governor;
 use nestdb::object::Universe;
+use nestdb::ThreadPool;
 use nestdb::{Session, Store};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, RwLock};
@@ -80,9 +82,8 @@ fn analyzer_json_report_over_data_corpus() {
 /// covers random instances; this pins the shipped corpus itself.)
 #[test]
 fn corpus_certificates_hold_on_the_corpus_database() {
-    use nestdb::core::error::EvalConfig;
     use nestdb::core::parse_query;
-    use nestdb::core::ranges::safe_eval;
+    use nestdb::core::ranges::safe_eval_pooled;
 
     let data = Path::new(env!("CARGO_MANIFEST_DIR")).join("data");
     let mut universe = Universe::new();
@@ -98,7 +99,12 @@ fn corpus_certificates_hold_on_the_corpus_database() {
         let analysis = nestdb::analysis::analyze_calc(&schema, qsrc, &mut universe);
         assert!(analysis.is_rr_safe(), "{qsrc}: {:?}", analysis.diagnostics);
         let q = parse_query(qsrc, &mut universe).unwrap();
-        safe_eval(&instance, &q, EvalConfig::default())
-            .unwrap_or_else(|e| panic!("certified query failed to evaluate: {qsrc}: {e}"));
+        safe_eval_pooled(
+            &instance,
+            &q,
+            &Governor::default(),
+            &ThreadPool::sequential(),
+        )
+        .unwrap_or_else(|e| panic!("certified query failed to evaluate: {qsrc}: {e}"));
     }
 }

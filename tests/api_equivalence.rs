@@ -1,18 +1,14 @@
-//! The deprecation contract of the API redesign: every legacy `eval_*` /
-//! `analyze` / `explain` entry point must agree exactly with
-//! `Session::run` on the equivalent [`Request`] — same rows, same rounds,
-//! same analysis, same plan renderings — across every engine and at
-//! parallelism 1, 2, and 4. The legacy methods are shims over the same
-//! internals, and this test is what keeps them honest until they are
-//! removed.
+//! The two execution paths behind `Session::run` must agree: for every
+//! engine, CALC mode, and Datalog¬ strategy, a planned request
+//! (`planned: true`, compiled through the plan cache) returns exactly the
+//! rows — and for Datalog the rounds — of the same request walked by the
+//! engine directly. Every response (rows, rounds, Checked analysis, explain
+//! text and JSON) is also identical at parallelism 1, 2, and 4.
 
-#![allow(deprecated)] // exercising the legacy surface is the point
-
-use nestdb::core::print::Printer;
-use nestdb::object::{Relation, RelationSchema, Schema, Type, Universe, Value};
-use nestdb::plan::CalcMode;
-use nestdb::proto::{Lang, Mode, Op, Request, Strategy};
-use nestdb::{ExplainTarget, Session, Store};
+use nestdb::object::{RelationSchema, Schema, Type, Universe, Value};
+use nestdb::plan::{CalcMode, DatalogMode};
+use nestdb::proto::{Lang, Mode, Op, Request, Response, Strategy};
+use nestdb::{Session, Store};
 use std::sync::{Arc, RwLock};
 
 const EDGES: &[(&str, &str)] = &[("a", "b"), ("b", "c"), ("c", "a"), ("a", "d")];
@@ -34,333 +30,186 @@ fn graph_session(parallelism: usize) -> Session {
         .build()
 }
 
-/// The canonical text rendering `Session::run` puts in
-/// `RelationOut::rows`, reproduced from a raw [`Relation`].
-fn canon_rows(universe: &Universe, rel: &Relation) -> Vec<String> {
-    let printer = Printer::with_universe(universe);
-    rel.sorted_rows()
-        .iter()
-        .map(|row| {
-            let cells: Vec<String> = row.iter().map(|v| printer.value(v)).collect();
-            format!("({})", cells.join(", "))
-        })
-        .collect()
-}
-
-fn eval_request(lang: Lang, mode: Mode, strategy: Strategy, planned: bool, text: &str) -> Request {
+fn eval_request(lang: Lang, mode: Mode, strategy: Strategy, text: &str) -> Request {
     Request {
-        op: Op::Eval,
         lang,
         mode,
         strategy,
-        planned,
         text: text.to_string(),
         ..Request::default()
     }
 }
 
+/// `req` on a fresh graph session at 1, 2, and 4 workers: the responses
+/// must be identical apart from their spend, which carries wall time.
+fn at_every_parallelism(req: &Request) -> Response {
+    let run = |threads| Response {
+        spend: None,
+        ..graph_session(threads).run(req)
+    };
+    let base = run(1);
+    for threads in [2, 4] {
+        assert_eq!(run(threads), base, "{req:?} at {threads} threads");
+    }
+    base
+}
+
+/// `req` tree-walk and planned: both succeed with the same rows and
+/// rounds (and the same analysis, for Checked). Returns the tree-walk
+/// response.
+fn planned_matches_tree_walk(req: Request) -> Response {
+    let walk = at_every_parallelism(&req);
+    let planned = at_every_parallelism(&Request {
+        planned: true,
+        ..req.clone()
+    });
+    assert!(walk.ok, "{req:?}: {:?}", walk.error);
+    assert!(planned.ok, "{req:?} planned: {:?}", planned.error);
+    assert_eq!(walk.relations, planned.relations, "{req:?}");
+    assert_eq!(walk.rounds, planned.rounds, "{req:?}");
+    assert_eq!(walk.analysis, planned.analysis, "{req:?}");
+    walk
+}
+
 #[test]
-fn calc_fast_and_safe_match_the_legacy_entry_points() {
-    for threads in [1, 2, 4] {
-        let session = graph_session(threads);
-        let store = session.store();
-        for src in CALC_QUERIES {
-            let query = {
-                let mut guard = store.write().unwrap();
-                nestdb::core::parse_query(src, guard.universe_mut()).unwrap()
-            };
-            for planned in [false, true] {
-                let guard = store.read().unwrap();
-                let legacy_fast = if planned {
-                    session.eval_calc_planned(guard.instance(), &query)
-                } else {
-                    session.eval_calc(guard.instance(), &query)
-                }
-                .unwrap();
-                let legacy_safe = if planned {
-                    session.eval_calc_safe_planned(guard.instance(), &query)
-                } else {
-                    session.eval_calc_safe(guard.instance(), &query)
-                }
-                .unwrap();
-                let fast_rows = canon_rows(guard.universe(), &legacy_fast);
-                let safe_rows = canon_rows(guard.universe(), &legacy_safe);
-                drop(guard);
-
-                let fast = session.run(&eval_request(
-                    Lang::Calc,
-                    Mode::Fast,
-                    Strategy::default(),
-                    planned,
-                    src,
-                ));
-                assert!(
-                    fast.ok,
-                    "threads={threads} planned={planned}: {:?}",
-                    fast.error
-                );
-                assert_eq!(fast.relations[0].rows, fast_rows, "fast {src}");
-
-                let safe = session.run(&eval_request(
-                    Lang::Calc,
-                    Mode::Safe,
-                    Strategy::default(),
-                    planned,
-                    src,
-                ));
-                assert!(safe.ok, "{:?}", safe.error);
-                assert_eq!(safe.relations[0].rows, safe_rows, "safe {src}");
-            }
+fn calc_planned_matches_tree_walk_in_fast_and_safe_mode() {
+    for src in CALC_QUERIES {
+        for mode in [Mode::Fast, Mode::Safe] {
+            let resp =
+                planned_matches_tree_walk(eval_request(Lang::Calc, mode, Strategy::default(), src));
+            assert!(!resp.relations[0].rows.is_empty(), "{src}");
         }
     }
 }
 
 #[test]
-fn calc_checked_matches_the_legacy_entry_point() {
-    for threads in [1, 2, 4] {
-        let session = graph_session(threads);
-        let store = session.store();
-        let src = CALC_QUERIES[0];
-        let legacy = {
-            let mut guard = store.write().unwrap();
-            let instance = guard.instance().clone();
-            let rel = session
-                .eval_calc_checked(&instance, src, guard.universe_mut())
-                .unwrap();
-            canon_rows(guard.universe(), &rel)
-        };
-        let resp = session.run(&eval_request(
-            Lang::Calc,
-            Mode::Checked,
-            Strategy::default(),
-            false,
-            src,
+fn checked_calc_planned_matches_tree_walk() {
+    let resp = planned_matches_tree_walk(eval_request(
+        Lang::Calc,
+        Mode::Checked,
+        Strategy::default(),
+        CALC_QUERIES[0],
+    ));
+    // Checked responses carry the analysis alongside the rows
+    let analysis = resp.analysis.as_ref().expect("checked carries analysis");
+    assert!(analysis.certified);
+    assert_eq!(analysis.errors, 0);
+}
+
+#[test]
+fn datalog_planned_matches_tree_walk_under_every_strategy() {
+    for strategy in [
+        Strategy::Naive,
+        Strategy::SemiNaive,
+        Strategy::Stratified,
+        Strategy::Simultaneous,
+    ] {
+        let resp = planned_matches_tree_walk(eval_request(
+            Lang::Datalog,
+            Mode::default(),
+            strategy,
+            TC_SRC,
         ));
-        assert!(resp.ok, "{:?}", resp.error);
-        assert_eq!(resp.relations[0].rows, legacy);
-        // Checked responses carry the analysis alongside the rows
-        let analysis = resp.analysis.as_ref().expect("checked carries analysis");
-        assert!(analysis.certified);
-        assert_eq!(analysis.errors, 0);
+        assert_eq!(resp.relations[0].name, "tc");
+        // the round-based strategies report their rounds, the others none
+        let rounds = matches!(strategy, Strategy::Naive | Strategy::SemiNaive);
+        assert_eq!(resp.rounds.is_some(), rounds, "{strategy:?}");
     }
 }
 
 #[test]
-fn datalog_strategies_match_the_legacy_entry_points() {
-    for threads in [1, 2, 4] {
-        let session = graph_session(threads);
-        let store = session.store();
-        let program = {
-            let mut guard = store.write().unwrap();
-            nestdb::datalog::parse_program(TC_SRC, guard.universe_mut()).unwrap()
-        };
-        for planned in [false, true] {
-            let guard = store.read().unwrap();
-            let instance = guard.instance();
-
-            // inflationary semi-naive, with rounds
-            let (legacy_idb, stats) = if planned {
-                session.eval_datalog_planned(
-                    &program,
-                    instance,
-                    nestdb::datalog::Strategy::SemiNaive,
-                )
-            } else {
-                session.eval_datalog(&program, instance, nestdb::datalog::Strategy::SemiNaive)
-            }
-            .unwrap();
-            let legacy: Vec<(String, Vec<String>)> = legacy_idb
-                .iter()
-                .map(|(name, rel)| (name.to_string(), canon_rows(guard.universe(), rel)))
-                .collect();
-
-            // stratified
-            let strat_idb = if planned {
-                session.eval_datalog_stratified_planned(&program, instance)
-            } else {
-                session.eval_datalog_stratified(&program, instance)
-            }
-            .unwrap();
-            let stratified: Vec<(String, Vec<String>)> = strat_idb
-                .iter()
-                .map(|(name, rel)| (name.to_string(), canon_rows(guard.universe(), rel)))
-                .collect();
-
-            // simultaneous IFP; `z` is the only body-only variable of TC
-            let body_types = [("z", Type::Atom)];
-            let sim_idb = if planned {
-                session.eval_datalog_simultaneous_planned(&program, &body_types, instance)
-            } else {
-                session.eval_datalog_simultaneous(&program, &body_types, instance)
-            }
-            .unwrap();
-            let simultaneous: Vec<(String, Vec<String>)> = sim_idb
-                .iter()
-                .map(|(name, rel)| (name.to_string(), canon_rows(guard.universe(), rel)))
-                .collect();
-            drop(guard);
-
-            let resp = session.run(&eval_request(
-                Lang::Datalog,
-                Mode::default(),
-                Strategy::SemiNaive,
-                planned,
-                TC_SRC,
-            ));
-            assert!(resp.ok, "{:?}", resp.error);
-            let got: Vec<(String, Vec<String>)> = resp
-                .relations
-                .iter()
-                .map(|r| (r.name.clone(), r.rows.clone()))
-                .collect();
-            assert_eq!(
-                got, legacy,
-                "semi-naive threads={threads} planned={planned}"
-            );
-            assert_eq!(resp.rounds, Some(stats.rounds as u64));
-
-            let resp = session.run(&eval_request(
-                Lang::Datalog,
-                Mode::default(),
-                Strategy::Stratified,
-                planned,
-                TC_SRC,
-            ));
-            assert!(resp.ok, "{:?}", resp.error);
-            let got: Vec<(String, Vec<String>)> = resp
-                .relations
-                .iter()
-                .map(|r| (r.name.clone(), r.rows.clone()))
-                .collect();
-            assert_eq!(
-                got, stratified,
-                "stratified threads={threads} planned={planned}"
-            );
-
-            let resp = session.run(&eval_request(
-                Lang::Datalog,
-                Mode::default(),
-                Strategy::Simultaneous,
-                planned,
-                TC_SRC,
-            ));
-            assert!(resp.ok, "{:?}", resp.error);
-            let got: Vec<(String, Vec<String>)> = resp
-                .relations
-                .iter()
-                .map(|r| (r.name.clone(), r.rows.clone()))
-                .collect();
-            assert_eq!(
-                got, simultaneous,
-                "simultaneous threads={threads} planned={planned}"
-            );
-        }
-    }
+fn algebra_planned_matches_tree_walk() {
+    let resp = planned_matches_tree_walk(eval_request(
+        Lang::Algebra,
+        Mode::default(),
+        Strategy::default(),
+        ALGEBRA_SRC,
+    ));
+    assert!(
+        !resp.relations[0].rows.is_empty(),
+        "the join must produce rows"
+    );
 }
 
 #[test]
-fn algebra_matches_the_legacy_entry_point() {
-    for threads in [1, 2, 4] {
-        let session = graph_session(threads);
-        let store = session.store();
-        let expr = {
-            let mut guard = store.write().unwrap();
-            nestdb::algebra::parse_expr(ALGEBRA_SRC, guard.universe_mut()).unwrap()
-        };
-        for planned in [false, true] {
-            let guard = store.read().unwrap();
-            let legacy = if planned {
-                session.eval_algebra_planned(&expr, guard.instance())
-            } else {
-                session.eval_algebra(&expr, guard.instance())
-            }
-            .unwrap();
-            let rows = canon_rows(guard.universe(), &legacy);
-            assert!(!rows.is_empty(), "the join must produce rows");
-            drop(guard);
-
-            let resp = session.run(&eval_request(
-                Lang::Algebra,
-                Mode::default(),
-                Strategy::default(),
-                planned,
-                ALGEBRA_SRC,
-            ));
-            assert!(resp.ok, "{:?}", resp.error);
-            assert_eq!(resp.relations[0].rows, rows);
-        }
-    }
-}
-
-#[test]
-fn analyze_matches_the_legacy_entry_points() {
+fn analyze_responses_match_the_analyzer_at_every_parallelism() {
     // one clean query, one with diagnostics, plus the Datalog analyzer
     let cases = [
         (Lang::Calc, CALC_QUERIES[0]),
         (Lang::Calc, "{[x:U] | forall y:U (G(x, y))}"),
         (Lang::Datalog, TC_SRC),
     ];
-    for threads in [1, 2, 4] {
-        let session = graph_session(threads);
-        let store = session.store();
-        for (lang, src) in cases.iter() {
-            let legacy = {
-                let mut guard = store.write().unwrap();
-                let schema = guard.instance().schema().clone();
-                let universe = guard.universe_mut();
-                match lang {
-                    Lang::Calc => session.analyze(&schema, src, universe),
-                    Lang::Datalog => session.analyze_datalog(&schema, src, universe),
-                    Lang::Algebra => unreachable!(),
-                }
-            };
-            let resp = session.run(&Request {
-                op: Op::Analyze,
-                lang: *lang,
-                text: src.to_string(),
-                ..Request::default()
-            });
-            assert!(resp.ok, "{:?}", resp.error);
-            let out = resp.analysis.as_ref().unwrap();
-            assert_eq!(out.text, legacy.render(src));
-            assert_eq!(out.json, legacy.to_json());
-            assert_eq!(out.certified, legacy.certificate.is_some());
-        }
-    }
-}
-
-#[test]
-fn explain_matches_the_legacy_entry_point() {
-    for threads in [1, 2, 4] {
-        let session = graph_session(threads);
-        let store = session.store();
-        let src = CALC_QUERIES[0];
-        let query = {
-            let mut guard = store.write().unwrap();
-            nestdb::core::parse_query(src, guard.universe_mut()).unwrap()
-        };
-        let legacy = {
-            let guard = store.read().unwrap();
-            session
-                .explain(
-                    guard.instance(),
-                    ExplainTarget::Calc {
-                        query: &query,
-                        mode: CalcMode::Safe,
-                    },
-                )
-                .unwrap()
-        };
-        let resp = session.run(&Request {
-            op: Op::Explain,
-            lang: Lang::Calc,
-            mode: Mode::Safe,
+    for (lang, src) in cases {
+        let resp = at_every_parallelism(&Request {
+            op: Op::Analyze,
+            lang,
             text: src.to_string(),
             ..Request::default()
         });
         assert!(resp.ok, "{:?}", resp.error);
-        let out = resp.explain.as_ref().unwrap();
-        assert_eq!(out.text, legacy.render_text());
-        assert_eq!(out.json, legacy.render_json());
+        let direct = {
+            let session = graph_session(1);
+            let store = session.store();
+            let mut guard = store.write().unwrap();
+            let schema = guard.instance().schema().clone();
+            match lang {
+                Lang::Calc => nestdb::analysis::analyze_calc(&schema, src, guard.universe_mut()),
+                _ => nestdb::analysis::analyze_datalog(&schema, src, guard.universe_mut()),
+            }
+        };
+        let out = resp.analysis.as_ref().unwrap();
+        assert_eq!(out.text, direct.render(src));
+        assert_eq!(out.json, direct.to_json());
+        assert_eq!(out.certified, direct.certificate.is_some());
+    }
+}
+
+#[test]
+fn explain_responses_match_the_plans_at_every_parallelism() {
+    let session = graph_session(1);
+    let store = session.store();
+    let (query, expr, program) = {
+        let mut guard = store.write().unwrap();
+        let u = guard.universe_mut();
+        (
+            nestdb::core::parse_query(CALC_QUERIES[0], u).unwrap(),
+            nestdb::algebra::parse_expr(ALGEBRA_SRC, u).unwrap(),
+            nestdb::datalog::parse_program(TC_SRC, u).unwrap(),
+        )
+    };
+    let guard = store.read().unwrap();
+    let i = guard.instance();
+    let cases = [
+        (
+            eval_request(Lang::Calc, Mode::Fast, Strategy::default(), CALC_QUERIES[0]),
+            session.plan_calc(i, &query, CalcMode::ActiveDomain),
+        ),
+        (
+            eval_request(Lang::Calc, Mode::Safe, Strategy::default(), CALC_QUERIES[0]),
+            session.plan_calc(i, &query, CalcMode::Safe),
+        ),
+        (
+            eval_request(
+                Lang::Algebra,
+                Mode::default(),
+                Strategy::default(),
+                ALGEBRA_SRC,
+            ),
+            session.plan_algebra(i, &expr),
+        ),
+        (
+            eval_request(Lang::Datalog, Mode::default(), Strategy::SemiNaive, TC_SRC),
+            session.plan_datalog(i, &program, DatalogMode::SemiNaive),
+        ),
+    ];
+    for (req, plan) in cases {
+        let resp = at_every_parallelism(&Request {
+            op: Op::Explain,
+            ..req
+        });
+        assert!(resp.ok, "{:?}", resp.error);
+        let (out, plan) = (resp.explain.as_ref().unwrap(), plan.unwrap());
+        assert_eq!(out.text, plan.render_text());
+        assert_eq!(out.json, plan.render_json());
     }
 }

@@ -6,11 +6,12 @@
 use nestdb::core::ast::{FixOp, Fixpoint, Formula, Term};
 use nestdb::core::eval::Query;
 use nestdb::object::{Atom, AtomOrder, Instance, RelationSchema, Schema, Type, Universe, Value};
+use nestdb::{Session, Store};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// A unique scratch directory for one test, removed on drop.
 ///
@@ -91,6 +92,15 @@ pub fn graph_instance(n: usize, edges: &[(usize, usize)]) -> (Universe, AtomOrde
         );
     }
     (u, order, i)
+}
+
+/// A session with `threads` workers over `instance`, whose atoms are named
+/// in `universe`.
+pub fn session_over(universe: Universe, instance: Instance, threads: usize) -> Session {
+    Session::builder()
+        .store(Arc::new(RwLock::new(Store::with_data(universe, instance))))
+        .parallelism(threads)
+        .build()
 }
 
 /// Reference transitive closure by iterated squaring over an adjacency set.

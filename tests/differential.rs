@@ -13,22 +13,22 @@
 //! engines must trip with a structured [`ResourceError`] — no panics, no
 //! hangs, no engine quietly returning a truncated answer.
 
-#![allow(deprecated)] // differential suite pins the legacy eval_* surface against Session::run
-
 mod common;
 
 use common::*;
-use nestdb::algebra::{self, AlgebraError, Expr, Pred};
-use nestdb::core::error::{EvalConfig, EvalError};
-use nestdb::core::eval::{active_order, eval_query_with};
-use nestdb::core::ranges::{safe_eval, safe_eval_governed};
+use nestdb::algebra::{self, AlgebraError, Expr};
+use nestdb::core::error::EvalError;
+use nestdb::core::eval::{active_order, eval_pooled};
+use nestdb::core::print::Printer;
+use nestdb::core::ranges::safe_eval_pooled;
 use nestdb::datalog::{
-    eval_governed, eval_simultaneous, eval_stratified_governed, DTerm, Literal, Program,
-    ProgramError, SimEvalError, Strategy, StratifyError,
+    self, eval_simultaneous_pooled, eval_stratified_pooled, DTerm, Literal, Program, ProgramError,
+    SimEvalError, Strategy, StratifyError,
 };
-use nestdb::object::{Governor, Limits, Relation, Value};
+use nestdb::object::{BudgetKind, Governor, Limits, Relation, Universe, Value};
 use nestdb::plan::{CalcMode, PassSet, Planner};
-use nestdb::Session;
+use nestdb::proto::{self, Lang, Mode, Request};
+use nestdb::{Response, ThreadPool};
 use proptest::prelude::*;
 
 /// The Datalog¬ transitive-closure program over `G[U,U]`.
@@ -66,40 +66,49 @@ fn graphs() -> Vec<Vec<(usize, usize)>> {
     ]
 }
 
-/// A suite of algebra expressions covering every operator at least once.
+/// A suite of algebra expressions covering every operator at least once,
+/// as request text.
+const OPERATOR_SUITE: &[&str] = &[
+    "G",
+    "select[eq(1, 2)](G)",
+    "select[not(eq(1, 2))](G)",
+    "project[1](G)",
+    "project[2, 1](G)",
+    "(project[1](G) x project[2](G))",
+    "(G + project[2, 1](G))",
+    "(G - project[2, 1](G))",
+    "(G & project[2, 1](G))",
+    "nest[2](G)",
+    "unnest[2](nest[2](G))",
+    "powerset(project[1](G))",
+];
+
+/// [`OPERATOR_SUITE`] parsed (no constants, so no atoms to intern).
 fn operator_suite() -> Vec<Expr> {
-    vec![
-        Expr::rel("G"),
-        Expr::rel("G").select(Pred::EqCols(1, 2)),
-        Expr::rel("G").select(Pred::EqCols(1, 2).not()),
-        Expr::rel("G").project([1]),
-        Expr::rel("G").project([2, 1]),
-        Expr::rel("G")
-            .project([1])
-            .product(Expr::rel("G").project([2])),
-        Expr::rel("G").union(Expr::rel("G").project([2, 1])),
-        Expr::rel("G").difference(Expr::rel("G").project([2, 1])),
-        Expr::rel("G").intersect(Expr::rel("G").project([2, 1])),
-        Expr::rel("G").nest(2),
-        Expr::rel("G").nest(2).unnest(2),
-        Expr::rel("G").project([1]).powerset(),
-    ]
+    OPERATOR_SUITE
+        .iter()
+        .map(|src| algebra::parse_expr(src, &mut Universe::new()).unwrap())
+        .collect()
 }
+
+/// The text of [`tc_program`].
+const TC_SRC: &str = "rel tc(U, U).\ntc(x, y) :- G(x, y).\ntc(x, y) :- tc(x, z), G(z, y).";
 
 /// Every operator, three ways: algebra bottom-up, its CALC translation on
 /// the active-domain evaluator, and the same translation through range
 /// analysis — pairwise identical on every graph shape.
 #[test]
 fn algebra_calc_and_rr_agree_on_operator_suite() {
+    let seq = ThreadPool::sequential();
     for edges in graphs() {
         let (_u, _o, i) = graph_instance(5, &edges);
         for expr in operator_suite() {
-            let a = algebra::eval(&expr, &i, &algebra::AlgebraConfig::default())
+            let a = algebra::eval_pooled(&expr, &i, &Governor::default(), &seq)
                 .unwrap_or_else(|e| panic!("algebra failed on {expr:?}: {e}"));
             let q = algebra::to_query(&expr, i.schema()).expect("translatable");
-            let c = eval_query_with(&i, &q, EvalConfig::default())
+            let c = eval_pooled(&q, &i, &Governor::default(), &seq)
                 .unwrap_or_else(|e| panic!("calc failed on {expr:?}: {e}"));
-            let r = safe_eval(&i, &q, EvalConfig::default())
+            let r = safe_eval_pooled(&i, &q, &Governor::default(), &seq)
                 .unwrap_or_else(|e| panic!("safe_eval failed on {expr:?}: {e}"));
             assert_eq!(a, c, "algebra vs calc on {expr:?} over {edges:?}");
             assert_eq!(c, r, "calc vs safe_eval on {expr:?} over {edges:?}");
@@ -111,20 +120,21 @@ fn algebra_calc_and_rr_agree_on_operator_suite() {
 /// CALC+IFP, safe eval of the same query, and the four Datalog strategies.
 #[test]
 fn transitive_closure_agrees_across_all_engines() {
+    let seq = ThreadPool::sequential();
     for edges in graphs() {
         let (u, _o, i) = graph_instance(5, &edges);
         let q = tc_query();
-        let calc = eval_query_with(&i, &q, EvalConfig::default()).unwrap();
-        let rr = safe_eval(&i, &q, EvalConfig::default()).unwrap();
+        let calc = eval_pooled(&q, &i, &Governor::default(), &seq).unwrap();
+        let rr = safe_eval_pooled(&i, &q, &Governor::default(), &seq).unwrap();
         assert_eq!(calc, rr, "calc vs safe_eval over {edges:?}");
 
         let p = tc_program();
         let gov = Governor::unlimited();
-        let (naive, _) = eval_governed(&p, &i, Strategy::Naive, &gov).unwrap();
-        let (semi, _) = eval_governed(&p, &i, Strategy::SemiNaive, &gov).unwrap();
-        let strat = eval_stratified_governed(&p, &i, &gov).unwrap();
+        let (naive, _) = datalog::eval_pooled(&p, &i, Strategy::Naive, &gov, &seq).unwrap();
+        let (semi, _) = datalog::eval_pooled(&p, &i, Strategy::SemiNaive, &gov, &seq).unwrap();
+        let strat = eval_stratified_pooled(&p, &i, &gov, &seq).unwrap();
         let order = active_order(&i, &q);
-        let sim = eval_simultaneous(&p, &[], &i, order, &gov).unwrap();
+        let sim = eval_simultaneous_pooled(&p, &[], &i, order, &gov, &seq).unwrap();
         let _ = u;
 
         assert_eq!(naive["tc"], calc, "naive datalog vs calc over {edges:?}");
@@ -138,12 +148,13 @@ fn transitive_closure_agrees_across_all_engines() {
 /// CALC `∧¬`, and as a stratified Datalog¬ program.
 #[test]
 fn negation_agrees_across_algebra_calc_and_datalog() {
+    let seq = ThreadPool::sequential();
     for edges in graphs() {
         let (_u, _o, i) = graph_instance(5, &edges);
         let expr = Expr::rel("G").difference(Expr::rel("G").project([2, 1]));
-        let a = algebra::eval(&expr, &i, &algebra::AlgebraConfig::default()).unwrap();
+        let a = algebra::eval_pooled(&expr, &i, &Governor::default(), &seq).unwrap();
         let q = algebra::to_query(&expr, i.schema()).unwrap();
-        let c = eval_query_with(&i, &q, EvalConfig::default()).unwrap();
+        let c = eval_pooled(&q, &i, &Governor::default(), &seq).unwrap();
 
         let mut p = Program::new();
         p.declare("asym", vec![nestdb::object::Type::Atom; 2]);
@@ -155,7 +166,7 @@ fn negation_agrees_across_algebra_calc_and_datalog() {
                 Literal::Neg("G".into(), vec![DTerm::var("y"), DTerm::var("x")]),
             ],
         );
-        let d = eval_stratified_governed(&p, &i, &Governor::unlimited()).unwrap();
+        let d = eval_stratified_pooled(&p, &i, &Governor::unlimited(), &seq).unwrap();
 
         assert_eq!(a, c, "algebra vs calc over {edges:?}");
         assert_eq!(c, d["asym"], "calc vs datalog over {edges:?}");
@@ -176,44 +187,43 @@ fn starvation_governor() -> Governor {
 /// an Ok would mean the engine stopped counting its work.)
 #[test]
 fn starved_engines_trip_gracefully_and_none_diverge() {
+    let seq = ThreadPool::sequential();
     let edges = vec![(0, 1), (1, 0), (1, 2), (2, 3), (3, 1), (3, 4), (4, 0)];
     let (_u, _o, i) = graph_instance(5, &edges);
     let q = tc_query();
     let p = tc_program();
 
     let err = {
-        let mut ev = nestdb::core::eval::Evaluator::with_governor(
-            &i,
-            active_order(&i, &q),
-            starvation_governor(),
-        );
+        let mut ev =
+            nestdb::core::eval::Evaluator::new(&i, active_order(&i, &q), starvation_governor());
         ev.query(&q).unwrap_err()
     };
     assert!(matches!(err, EvalError::Resource(_)), "calc: {err}");
 
-    let err = safe_eval_governed(&i, &q, &starvation_governor()).unwrap_err();
+    let err = safe_eval_pooled(&i, &q, &starvation_governor(), &seq).unwrap_err();
     assert!(matches!(err, EvalError::Resource(_)), "safe_eval: {err}");
 
     let expr = Expr::rel("G").product(Expr::rel("G")).nest(4);
-    let err = algebra::eval_governed(&expr, &i, &starvation_governor()).unwrap_err();
+    let err = algebra::eval_pooled(&expr, &i, &starvation_governor(), &seq).unwrap_err();
     assert!(matches!(err, AlgebraError::Resource(_)), "algebra: {err}");
 
     for strategy in [Strategy::Naive, Strategy::SemiNaive] {
-        let err = eval_governed(&p, &i, strategy, &starvation_governor()).unwrap_err();
+        let err = datalog::eval_pooled(&p, &i, strategy, &starvation_governor(), &seq).unwrap_err();
         assert!(
             matches!(err, ProgramError::Resource(_)),
             "{strategy:?}: {err}"
         );
     }
 
-    let err = eval_stratified_governed(&p, &i, &starvation_governor()).unwrap_err();
+    let err = eval_stratified_pooled(&p, &i, &starvation_governor(), &seq).unwrap_err();
     assert!(
         matches!(err, StratifyError::Program(ProgramError::Resource(_))),
         "stratified: {err}"
     );
 
-    let err =
-        eval_simultaneous(&p, &[], &i, active_order(&i, &q), &starvation_governor()).unwrap_err();
+    let order = active_order(&i, &q);
+    let gov = starvation_governor();
+    let err = eval_simultaneous_pooled(&p, &[], &i, order, &gov, &seq).unwrap_err();
     assert!(
         matches!(err, SimEvalError::Eval(EvalError::Resource(_))),
         "simultaneous: {err}"
@@ -229,7 +239,7 @@ fn starved_engines_report_spent_work() {
     let edges = vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)];
     let (_u, _o, i) = graph_instance(5, &edges);
     let gov = starvation_governor();
-    let _ = safe_eval_governed(&i, &tc_query(), &gov);
+    let _ = safe_eval_pooled(&i, &tc_query(), &gov, &ThreadPool::sequential());
     assert!(gov.steps_spent() > 0, "no work was metered");
     // the meter increments before checking, so a trip reads limit + 1
     assert!(gov.steps_spent() <= 26, "budget was overrun");
@@ -240,6 +250,7 @@ fn starved_engines_report_spent_work() {
 /// exercises canonical set form across both pipelines.
 #[test]
 fn nested_outputs_agree_between_safe_eval_and_algebra() {
+    let seq = ThreadPool::sequential();
     let mut u = nestdb::object::Universe::new();
     let (a, b, c) = (u.intern("a"), u.intern("b"), u.intern("c"));
     let schema = nestdb::object::Schema::from_relations([nestdb::object::RelationSchema::new(
@@ -250,15 +261,11 @@ fn nested_outputs_agree_between_safe_eval_and_algebra() {
     for (x, y) in [(a, b), (a, c), (b, b), (b, c)] {
         i.insert("P", vec![Value::Atom(x), Value::Atom(y)]);
     }
-    let alg = algebra::eval(
-        &Expr::rel("P").nest(2),
-        &i,
-        &algebra::AlgebraConfig::default(),
-    )
-    .unwrap();
+    let alg =
+        algebra::eval_pooled(&Expr::rel("P").nest(2), &i, &Governor::default(), &seq).unwrap();
     let q = algebra::to_query(&Expr::rel("P").nest(2), i.schema()).unwrap();
-    let rr = safe_eval(&i, &q, EvalConfig::default()).unwrap();
-    let ad = eval_query_with(&i, &q, EvalConfig::default()).unwrap();
+    let rr = safe_eval_pooled(&i, &q, &Governor::default(), &seq).unwrap();
+    let ad = eval_pooled(&q, &i, &Governor::default(), &seq).unwrap();
     assert_eq!(alg, rr);
     assert_eq!(rr, ad);
     assert!(alg.iter().all(|row| matches!(row[1], Value::Set(_))));
@@ -285,54 +292,78 @@ fn analyzer_query_pool() -> Vec<&'static str> {
     ]
 }
 
-/// The compile-to-plan axis: every engine's planned execution must return
-/// exactly what its legacy tree-walk entry point returns — for CALC under
-/// both semantics (the analyzer pool covers AD fallbacks, sets, tuples,
-/// and fixpoints), the whole algebra operator suite, and all four Datalog¬
+/// The compile-to-plan axis: every engine's planned request must return
+/// exactly what its tree-walk request returns — for CALC under both
+/// semantics (the analyzer pool covers AD fallbacks, sets, tuples, and
+/// fixpoints), the whole algebra operator suite, and all four Datalog¬
 /// strategies — at parallelism 1, 2, and 4.
 #[test]
 fn planned_execution_matches_tree_walk_across_all_engines() {
-    for threads in [1usize, 2, 4] {
-        for edges in graphs() {
-            let (mut u, _o, i) = graph_instance(5, &edges);
-            let s = Session::builder().parallelism(threads).build();
-
-            // CALC: the recursive TC query plus the full analyzer pool.
-            let mut queries = vec![tc_query()];
-            for src in analyzer_query_pool() {
-                queries.push(nestdb::core::parse_query(src, &mut u).unwrap());
-            }
-            for q in &queries {
-                let ad = s.eval_calc(&i, q).unwrap();
-                let ad_planned = s.eval_calc_planned(&i, q).unwrap();
-                assert_eq!(ad, ad_planned, "AD planned diverged at {threads} threads");
-                let rr = s.eval_calc_safe(&i, q).unwrap();
-                let rr_planned = s.eval_calc_safe_planned(&i, q).unwrap();
-                assert_eq!(rr, rr_planned, "safe planned diverged at {threads} threads");
-            }
-
-            // Algebra: every operator.
-            for expr in operator_suite() {
-                let walk = s.eval_algebra(&expr, &i).unwrap();
-                let planned = s.eval_algebra_planned(&expr, &i).unwrap();
-                assert_eq!(walk, planned, "algebra planned diverged on {expr:?}");
-            }
-
-            // Datalog¬: all four strategies.
-            let p = tc_program();
-            for strategy in [Strategy::Naive, Strategy::SemiNaive] {
-                let (walk, _) = s.eval_datalog(&p, &i, strategy).unwrap();
-                let (planned, _) = s.eval_datalog_planned(&p, &i, strategy).unwrap();
-                assert_eq!(walk, planned, "{strategy:?} planned diverged");
-            }
-            let walk = s.eval_datalog_stratified(&p, &i).unwrap();
-            let planned = s.eval_datalog_stratified_planned(&p, &i).unwrap();
-            assert_eq!(walk, planned, "stratified planned diverged");
-            let walk = s.eval_datalog_simultaneous(&p, &[], &i).unwrap();
-            let planned = s.eval_datalog_simultaneous_planned(&p, &[], &i).unwrap();
-            assert_eq!(walk, planned, "simultaneous planned diverged");
+    let tc = Printer::new().query(&tc_query());
+    let mut requests = Vec::new();
+    // CALC: the recursive TC query plus the full analyzer pool.
+    for src in std::iter::once(tc.as_str()).chain(analyzer_query_pool()) {
+        for mode in [Mode::Fast, Mode::Safe] {
+            requests.push(Request {
+                mode,
+                text: src.into(),
+                ..Request::default()
+            });
         }
     }
+    // Algebra: every operator.
+    for src in OPERATOR_SUITE {
+        requests.push(Request::eval(Lang::Algebra, *src));
+    }
+    // Datalog¬: all four strategies.
+    for strategy in [
+        proto::Strategy::Naive,
+        proto::Strategy::SemiNaive,
+        proto::Strategy::Stratified,
+        proto::Strategy::Simultaneous,
+    ] {
+        requests.push(Request {
+            lang: Lang::Datalog,
+            strategy,
+            text: TC_SRC.into(),
+            ..Request::default()
+        });
+    }
+    for threads in [1usize, 2, 4] {
+        for edges in graphs() {
+            let (u, _o, i) = graph_instance(5, &edges);
+            let s = session_over(u, i, threads);
+            for walk in &requests {
+                let planned = Request {
+                    planned: true,
+                    ..walk.clone()
+                };
+                let (walk_out, planned_out) = (s.run(walk), s.run(&planned));
+                assert!(walk_out.ok, "{walk:?}: {:?}", walk_out.error);
+                assert_eq!(
+                    walk_out.relations, planned_out.relations,
+                    "planned diverged at {threads} threads on {walk:?}"
+                );
+            }
+        }
+    }
+}
+
+/// The budget a resource-tripped response names in its message.
+fn trip_budget(resp: &Response) -> BudgetKind {
+    let err = resp.error.as_ref().expect("expected a resource trip");
+    assert!(err.resource_trip, "expected a resource trip, got {err:?}");
+    let kinds = [
+        BudgetKind::Steps,
+        BudgetKind::Range,
+        BudgetKind::FixpointIters,
+        BudgetKind::Memory,
+        BudgetKind::Deadline,
+    ];
+    kinds
+        .into_iter()
+        .find(|k| err.message.contains(&format!("{k} budget exhausted")))
+        .unwrap_or(BudgetKind::Cancelled)
 }
 
 /// Under starvation the planned path must trip exactly like the tree-walk
@@ -343,17 +374,19 @@ fn planned_execution_matches_tree_walk_across_all_engines() {
 #[test]
 fn planned_execution_trips_identically_under_starvation() {
     let edges = vec![(0, 1), (1, 0), (1, 2), (2, 3), (3, 1), (3, 4), (4, 0)];
-    let (_u, _o, i) = graph_instance(5, &edges);
+    let (u, _o, i) = graph_instance(5, &edges);
     let q = tc_query();
-    let p = tc_program();
-    let pool = minipool::ThreadPool::sequential();
+    let pool = ThreadPool::sequential();
+    let s = session_over(u, i.clone(), 1);
+    let tc = Request {
+        mode: Mode::Safe,
+        text: Printer::new().query(&q),
+        ..Request::default()
+    };
 
     // tree-walk baseline
     let walk_gov = starvation_governor();
-    let walk_err = safe_eval_governed(&i, &q, &walk_gov).unwrap_err();
-    let EvalError::Resource(walk_trip) = &walk_err else {
-        panic!("expected a resource trip, got {walk_err}")
-    };
+    let walk_trip = trip_budget(&s.run_governed(&tc, walk_gov.clone()));
 
     // planned, no passes: identical accounting, step for step
     let plan_gov = starvation_governor();
@@ -363,7 +396,7 @@ fn planned_execution_trips_identically_under_starvation() {
         .unwrap();
     let plan_err = planned.execute(&i, &plan_gov, &pool).unwrap_err();
     let plan_trip = plan_err.resource().expect("planned path must trip too");
-    assert_eq!(plan_trip.budget, walk_trip.budget, "budget kinds differ");
+    assert_eq!(plan_trip.budget, walk_trip, "budget kinds differ");
     assert_eq!(
         plan_gov.steps_spent(),
         walk_gov.steps_spent(),
@@ -371,31 +404,29 @@ fn planned_execution_trips_identically_under_starvation() {
     );
 
     // planned, full pass set: still a structured trip of the same kind
-    let opt_gov = starvation_governor();
-    let planned = Planner::new(i.schema())
-        .with_instance(&i)
-        .plan_calc(&q, CalcMode::Safe)
-        .unwrap();
-    let err = planned.execute(&i, &opt_gov, &pool).unwrap_err();
-    assert_eq!(
-        err.resource().expect("optimized plan must trip too").budget,
-        walk_trip.budget
-    );
+    let planned = Request {
+        planned: true,
+        ..tc.clone()
+    };
+    let opt_trip = trip_budget(&s.run_governed(&planned, starvation_governor()));
+    assert_eq!(opt_trip, walk_trip);
 
     // datalog: the planned semi-naive path is the same engine invocation
+    let walk = Request {
+        lang: Lang::Datalog,
+        strategy: proto::Strategy::SemiNaive,
+        text: TC_SRC.into(),
+        ..Request::default()
+    };
     let walk_gov = starvation_governor();
-    let walk_err = eval_governed(&p, &i, Strategy::SemiNaive, &walk_gov).unwrap_err();
-    let ProgramError::Resource(walk_trip) = &walk_err else {
-        panic!("expected a resource trip, got {walk_err}")
+    let walk_trip = trip_budget(&s.run_governed(&walk, walk_gov.clone()));
+    let planned = Request {
+        planned: true,
+        ..walk
     };
     let plan_gov = starvation_governor();
-    let planned = Planner::new(i.schema())
-        .with_instance(&i)
-        .plan_datalog(&p, nestdb::plan::DatalogMode::SemiNaive)
-        .unwrap();
-    let err = planned.execute(&i, &plan_gov, &pool).unwrap_err();
-    let trip = err.resource().expect("planned datalog must trip");
-    assert_eq!(trip.budget, walk_trip.budget);
+    let trip = trip_budget(&s.run_governed(&planned, plan_gov.clone()));
+    assert_eq!(trip, walk_trip);
     assert_eq!(plan_gov.steps_spent(), walk_gov.steps_spent());
 }
 
@@ -419,11 +450,11 @@ proptest! {
         let q = nestdb::core::parse_query(src, &mut u).expect("pool queries parse");
         // dom({U}, 5) = 32 > 16, so an unrestricted set variable cannot be
         // enumerated — but 16 still covers the 5-atom active domain.
-        let cfg = EvalConfig {
+        let limits = Limits {
             max_range: 16,
-            ..EvalConfig::default()
+            ..Limits::default()
         };
-        match safe_eval(&i, &q, cfg) {
+        match safe_eval_pooled(&i, &q, &Governor::new(limits), &ThreadPool::sequential()) {
             Ok(_) => {}
             // A governor budget trip is not a soundness failure: the
             // certificate promises freedom from range-restriction errors,

@@ -4,16 +4,17 @@
 //! through the shell, encoded onto a TM tape and back — all answers
 //! consistent.
 
-use nestdb::algebra::{eval as alg_eval, to_query, AlgebraConfig, Expr};
-use nestdb::core::error::EvalConfig;
-use nestdb::core::eval::eval_query_with;
+use nestdb::algebra::{self, to_query, Expr};
+use nestdb::core::eval::eval_pooled;
 use nestdb::core::parser::parse_query;
-use nestdb::core::ranges::safe_eval;
+use nestdb::core::ranges::safe_eval_pooled;
 use nestdb::datalog;
 use nestdb::object::encoding::{decode_instance, encode_instance};
 use nestdb::object::text::{parse_database, render_database};
+use nestdb::object::Governor;
 use nestdb::object::{AtomOrder, Universe};
 use nestdb::shell::Shell;
+use nestdb::ThreadPool;
 
 mod common;
 use common::ScratchDir;
@@ -31,6 +32,7 @@ Meets('logic', {'wed', 'fri'}).
 
 #[test]
 fn every_layer_agrees() {
+    let seq = ThreadPool::sequential();
     let mut u = Universe::new();
     let (_schema, db) = parse_database(DB, &mut u).expect("database parses");
     assert_eq!(db.cardinality(), 6);
@@ -38,8 +40,8 @@ fn every_layer_agrees() {
     // --- CALC, active vs safe: classmates (share a course) ---
     let classmates_src = "{[x:U, y:U] | exists c:U (Enroll(x, c) /\\ Enroll(y, c)) /\\ ~(x = y)}";
     let q = parse_query(classmates_src, &mut u).unwrap();
-    let active = eval_query_with(&db, &q, EvalConfig::default()).unwrap();
-    let safe = safe_eval(&db, &q, EvalConfig::default()).unwrap();
+    let active = eval_pooled(&q, &db, &Governor::default(), &seq).unwrap();
+    let safe = safe_eval_pooled(&db, &q, &Governor::default(), &seq).unwrap();
     assert_eq!(active, safe);
     assert_eq!(active.len(), 4); // (mia,sam), (sam,mia), (mia,zoe), (zoe,mia)
 
@@ -49,10 +51,10 @@ fn every_layer_agrees() {
         .select(nestdb::algebra::Pred::EqCols(2, 4))
         .select(nestdb::algebra::Pred::EqCols(1, 3).not())
         .project([1, 3]);
-    let by_algebra = alg_eval(&alg, &db, &AlgebraConfig::default()).unwrap();
+    let by_algebra = algebra::eval_pooled(&alg, &db, &Governor::default(), &seq).unwrap();
     assert_eq!(by_algebra, active);
     let compiled = to_query(&alg, db.schema()).unwrap();
-    let by_compiled = eval_query_with(&db, &compiled, EvalConfig::default()).unwrap();
+    let by_compiled = eval_pooled(&compiled, &db, &Governor::default(), &seq).unwrap();
     assert_eq!(by_compiled, active);
 
     // --- Datalog: same-day courses, inflationary vs stratified agree on
@@ -63,8 +65,16 @@ fn every_layer_agrees() {
         &mut u,
     )
     .unwrap();
-    let (inflationary, _) = datalog::eval(&program, &db, datalog::Strategy::SemiNaive).unwrap();
-    let stratified = datalog::eval_stratified(&program, &db).unwrap();
+    let (inflationary, _) = datalog::eval_pooled(
+        &program,
+        &db,
+        datalog::Strategy::SemiNaive,
+        &Governor::default(),
+        &seq,
+    )
+    .unwrap();
+    let stratified =
+        datalog::eval_stratified_pooled(&program, &db, &Governor::default(), &seq).unwrap();
     assert_eq!(inflationary, stratified);
     assert_eq!(inflationary["overlap"].len(), 2); // db↔logic share wednesday
 

@@ -20,16 +20,13 @@
 //! materialized relations, and planner algorithm choices are a pure
 //! function of the stats snapshot (re-planning renders the same text).
 
-#![allow(deprecated)] // fuzzer drives the legacy eval_* shims on purpose
-
 mod common;
 
 use common::*;
 use minipool::ThreadPool;
 use nestdb::core::ast::{Formula, Term};
-use nestdb::core::error::EvalConfig;
-use nestdb::core::eval::{eval_query_with, Query};
-use nestdb::core::ranges::safe_eval;
+use nestdb::core::eval::{eval_pooled, Query};
+use nestdb::core::ranges::safe_eval_pooled;
 use nestdb::exec::{execute, ExecOp, ExecPlan, JoinAlgo, RowPred};
 use nestdb::object::{
     Atom, BudgetKind, Governor, Instance, Limits, Relation, RelationSchema, Schema, Type, Value,
@@ -230,6 +227,7 @@ proptest! {
     /// baseline, at every parallelism level.
     #[test]
     fn conjunctive_calc_matches_tree_walk(edges in edges_strategy(5, 14)) {
+        let seq = ThreadPool::sequential();
         let (_u, _o, i) = graph_instance(5, &edges);
         let two_hop = Query::new(
             vec![("x".to_string(), Type::Atom), ("y".to_string(), Type::Atom)],
@@ -250,8 +248,8 @@ proptest! {
             ]),
         );
         for q in [&two_hop, &pinned] {
-            let ad_walk = eval_query_with(&i, q, EvalConfig::default()).unwrap();
-            let safe_walk = safe_eval(&i, q, EvalConfig::default()).unwrap();
+            let ad_walk = eval_pooled(q, &i, &Governor::default(), &seq).unwrap();
+            let safe_walk = safe_eval_pooled(&i, q, &Governor::default(), &seq).unwrap();
             prop_assert_eq!(&ad_walk, &safe_walk, "conjunctive fragment: AD ≡ safe");
             for mode in [CalcMode::ActiveDomain, CalcMode::Safe] {
                 let planned = Planner::new(i.schema())

@@ -14,8 +14,6 @@
 //! UPDATE_GOLDEN=1 cargo test --test explain_golden
 //! ```
 
-#![allow(deprecated)] // golden snapshots pin the legacy explain surface too
-
 mod common;
 
 use common::check_golden;
@@ -24,7 +22,7 @@ use nestdb::datalog::parse_program;
 use nestdb::object::text::parse_database;
 use nestdb::object::{Instance, Universe};
 use nestdb::plan::{CalcMode, DatalogMode};
-use nestdb::{ExplainTarget, Session};
+use nestdb::Session;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -58,7 +56,7 @@ fn calc_corpus_explain_snapshots() {
             .unwrap_or_else(|e| panic!("queries.calc:{}: {e:?}", lineno + 1));
         for mode in [CalcMode::ActiveDomain, CalcMode::Safe] {
             let planned = session
-                .explain(&instance, ExplainTarget::Calc { query: &q, mode })
+                .plan_calc(&instance, &q, mode)
                 .unwrap_or_else(|e| panic!("queries.calc:{}: {e}", lineno + 1));
             let _ = writeln!(
                 snapshot,
@@ -78,15 +76,7 @@ fn calc_pinned_explain_snapshot() {
     let (mut u, instance) = graph_db();
     let session = Session::default();
     let q = nestdb::core::parse_query("{[x:U, y:U] | G(x, y) /\\ x = 'a'}", &mut u).unwrap();
-    let planned = session
-        .explain(
-            &instance,
-            ExplainTarget::Calc {
-                query: &q,
-                mode: CalcMode::Safe,
-            },
-        )
-        .unwrap();
+    let planned = session.plan_calc(&instance, &q, CalcMode::Safe).unwrap();
     check_golden("explain.calc.pinned.golden", &planned.render_text());
     check_golden("explain.calc.pinned.json.golden", &planned.render_json());
 }
@@ -105,9 +95,7 @@ fn algebra_explain_snapshot() {
         .select(Pred::EqCols(1, 2))
         .project([1])
         .powerset();
-    let planned = session
-        .explain(&instance, ExplainTarget::Algebra(&expr))
-        .unwrap();
+    let planned = session.plan_algebra(&instance, &expr).unwrap();
     check_golden("explain.algebra.golden", &planned.render_text());
 }
 
@@ -120,13 +108,7 @@ fn datalog_explain_snapshot() {
     let session = Session::default();
     let program = parse_program(&data("tc.dl"), &mut u).unwrap();
     let planned = session
-        .explain(
-            &instance,
-            ExplainTarget::Datalog {
-                program: &program,
-                mode: DatalogMode::SemiNaive,
-            },
-        )
+        .plan_datalog(&instance, &program, DatalogMode::SemiNaive)
         .unwrap();
     check_golden("explain.datalog.golden", &planned.render_text());
 }

@@ -10,23 +10,22 @@
 //! surfaces a structured [`ResourceError`] (never a panic) naming the
 //! injected budget.
 
-#![allow(deprecated)] // fault sweep drives the legacy eval_* shims on purpose
-
 mod common;
 
 use common::*;
-use nestdb::algebra::{eval_governed as alg_eval_governed, AlgebraError, Expr};
+use nestdb::algebra::{self, AlgebraError, Expr};
 use nestdb::core::ast::{FixOp, Fixpoint, Formula, Term};
 use nestdb::core::eval::{Evaluator, Query};
-use nestdb::core::ranges::safe_eval_governed;
+use nestdb::core::ranges::safe_eval_pooled;
 use nestdb::core::EvalError;
 use nestdb::datalog::{
-    eval_governed as dl_eval_governed, eval_simultaneous, eval_stratified_governed, DTerm, Literal,
-    Program, ProgramError, SimEvalError, Strategy, StratifyError,
+    eval_pooled, eval_simultaneous_pooled, eval_stratified_pooled, DTerm, Literal, Program,
+    ProgramError, SimEvalError, Strategy, StratifyError,
 };
 use nestdb::object::{BudgetKind, Governor, ResourceError, Type};
 use nestdb::tm::sim::{simulate_on_instance_governed, SimError};
 use nestdb::tm::{machines, TmError};
+use nestdb::ThreadPool;
 use std::sync::Arc;
 
 /// The four budget kinds a fault can impersonate (Range and FixpointIters
@@ -127,7 +126,7 @@ fn calc_active_domain_degrades_gracefully() {
         ]),
     );
     assert_degrades_gracefully("calc-ad", |g| {
-        let mut ev = Evaluator::with_governor(&i, order.clone(), g.clone());
+        let mut ev = Evaluator::new(&i, order.clone(), g.clone());
         ev.query(&q).map_err(resource)
     });
 }
@@ -136,7 +135,7 @@ fn calc_active_domain_degrades_gracefully() {
 fn calc_range_restricted_degrades_gracefully() {
     let (_u, _order, i) = graph_instance(4, &test_edges());
     assert_degrades_gracefully("calc-rr", |g| {
-        safe_eval_governed(&i, &tc_query(), g).map_err(resource)
+        safe_eval_pooled(&i, &tc_query(), g, &ThreadPool::sequential()).map_err(resource)
     });
 }
 
@@ -145,7 +144,7 @@ fn ifp_fixpoint_degrades_gracefully() {
     let (_u, order, i) = graph_instance(4, &test_edges());
     let fix = tc_fixpoint();
     assert_degrades_gracefully("ifp", |g| {
-        let mut ev = Evaluator::with_governor(&i, order.clone(), g.clone());
+        let mut ev = Evaluator::new(&i, order.clone(), g.clone());
         ev.eval_fixpoint(&fix).map_err(resource)
     });
 }
@@ -162,7 +161,7 @@ fn pfp_fixpoint_degrades_gracefully() {
         body: ifp.body.clone(),
     });
     assert_degrades_gracefully("pfp", |g| {
-        let mut ev = Evaluator::with_governor(&i, order.clone(), g.clone());
+        let mut ev = Evaluator::new(&i, order.clone(), g.clone());
         ev.eval_fixpoint(&fix).map_err(resource)
     });
 }
@@ -172,7 +171,7 @@ fn datalog_naive_degrades_gracefully() {
     let (_u, _order, i) = graph_instance(4, &test_edges());
     let p = tc_program();
     assert_degrades_gracefully("datalog-naive", |g| {
-        dl_eval_governed(&p, &i, Strategy::Naive, g).map_err(dl_resource)
+        eval_pooled(&p, &i, Strategy::Naive, g, &ThreadPool::sequential()).map_err(dl_resource)
     });
 }
 
@@ -181,7 +180,7 @@ fn datalog_semi_naive_degrades_gracefully() {
     let (_u, _order, i) = graph_instance(4, &test_edges());
     let p = tc_program();
     assert_degrades_gracefully("datalog-semi-naive", |g| {
-        dl_eval_governed(&p, &i, Strategy::SemiNaive, g).map_err(dl_resource)
+        eval_pooled(&p, &i, Strategy::SemiNaive, g, &ThreadPool::sequential()).map_err(dl_resource)
     });
 }
 
@@ -200,7 +199,7 @@ fn datalog_stratified_degrades_gracefully() {
         ],
     );
     assert_degrades_gracefully("datalog-stratified", |g| {
-        eval_stratified_governed(&p, &i, g).map_err(|e| match e {
+        eval_stratified_pooled(&p, &i, g, &ThreadPool::sequential()).map_err(|e| match e {
             StratifyError::Program(pe) => dl_resource(pe),
             other => panic!("expected structured resource error, got {other:?}"),
         })
@@ -212,7 +211,15 @@ fn datalog_simultaneous_degrades_gracefully() {
     let (_u, order, i) = graph_instance(4, &test_edges());
     let p = tc_program();
     assert_degrades_gracefully("datalog-simultaneous", |g| {
-        eval_simultaneous(&p, &[("z", Type::Atom)], &i, order.clone(), g).map_err(|e| match e {
+        eval_simultaneous_pooled(
+            &p,
+            &[("z", Type::Atom)],
+            &i,
+            order.clone(),
+            g,
+            &ThreadPool::sequential(),
+        )
+        .map_err(|e| match e {
             SimEvalError::Eval(ee) => resource(ee),
             other => panic!("expected structured resource error, got {other:?}"),
         })
@@ -224,7 +231,7 @@ fn algebra_powerset_degrades_gracefully() {
     let (_u, _order, i) = graph_instance(4, &test_edges());
     let expr = Expr::rel("G").project([1]).powerset();
     assert_degrades_gracefully("algebra", |g| {
-        alg_eval_governed(&expr, &i, g).map_err(|e| match e {
+        algebra::eval_pooled(&expr, &i, g, &ThreadPool::sequential()).map_err(|e| match e {
             AlgebraError::Resource(r) => r,
             other => panic!("expected structured resource error, got {other:?}"),
         })

@@ -7,10 +7,11 @@ mod common;
 
 use common::*;
 use nestdb::core::ast::{FixOp, Fixpoint, Formula, Term};
-use nestdb::core::error::EvalConfig;
-use nestdb::core::eval::{eval_query_with, Query};
-use nestdb::datalog::{eval as dl_eval, DTerm, Literal, Program, Strategy};
+use nestdb::core::eval::{eval_pooled, Query};
+use nestdb::datalog::{DTerm, Literal, Program, Strategy};
+use nestdb::object::Governor;
 use nestdb::object::{Type, Value};
+use nestdb::ThreadPool;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -42,11 +43,12 @@ proptest! {
     /// IFP-TC == Datalog-TC (both strategies) == reference closure.
     #[test]
     fn all_engines_agree_on_transitive_closure(edges in edges_strategy(6, 14)) {
+        let seq = ThreadPool::sequential();
         let n = 6;
         let (_u, _order, i) = graph_instance(n, &edges);
         let expect = reference_tc(n, &edges);
 
-        let calc = eval_query_with(&i, &tc_query(), EvalConfig::default()).unwrap();
+        let calc = eval_pooled(&tc_query(), &i, &Governor::default(), &seq).unwrap();
         prop_assert_eq!(calc.len(), expect.len());
         for &(a, b) in &expect {
             prop_assert!(calc.contains(&[
@@ -55,8 +57,12 @@ proptest! {
             ]));
         }
 
-        let (naive, _) = dl_eval(&tc_program(), &i, Strategy::Naive).unwrap();
-        let (semi, _) = dl_eval(&tc_program(), &i, Strategy::SemiNaive).unwrap();
+        let run = |strategy| {
+            nestdb::datalog::eval_pooled(&tc_program(), &i, strategy, &Governor::default(), &seq)
+                .unwrap()
+                .0
+        };
+        let (naive, semi) = (run(Strategy::Naive), run(Strategy::SemiNaive));
         prop_assert_eq!(&naive["tc"], &semi["tc"]);
         prop_assert_eq!(naive["tc"].len(), expect.len());
     }
@@ -64,22 +70,31 @@ proptest! {
     /// The translated Datalog program agrees with the CALC evaluator.
     #[test]
     fn datalog_translation_agrees(edges in edges_strategy(5, 10)) {
+        let seq = ThreadPool::sequential();
         let (_u, _order, i) = graph_instance(5, &edges);
         let fix = nestdb::datalog::to_ifp(&tc_program(), &[("z", Type::Atom)]).unwrap();
         let q = Query::new(
             vec![("qu".into(), Type::Atom), ("qv".into(), Type::Atom)],
             Formula::FixApp(fix, vec![Term::var("qu"), Term::var("qv")]),
         );
-        let by_translation = eval_query_with(&i, &q, EvalConfig::default()).unwrap();
-        let (idb, _) = dl_eval(&tc_program(), &i, Strategy::SemiNaive).unwrap();
+        let by_translation = eval_pooled(&q, &i, &Governor::default(), &seq).unwrap();
+        let (idb, _) = nestdb::datalog::eval_pooled(
+            &tc_program(),
+            &i,
+            Strategy::SemiNaive,
+            &Governor::default(),
+            &seq,
+        )
+        .unwrap();
         prop_assert_eq!(by_translation, idb["tc"].clone());
     }
 
     /// PFP of the (monotone) TC body computes the same fixpoint as IFP.
     #[test]
     fn pfp_equals_ifp_on_monotone_bodies(edges in edges_strategy(5, 10)) {
+        let seq = ThreadPool::sequential();
         let (_u, _order, i) = graph_instance(5, &edges);
-        let ifp_ans = eval_query_with(&i, &tc_query(), EvalConfig::default()).unwrap();
+        let ifp_ans = eval_pooled(&tc_query(), &i, &Governor::default(), &seq).unwrap();
         let pfp_fix = Arc::new(Fixpoint {
             op: FixOp::Pfp,
             ..(*tc_fixpoint()).clone()
@@ -88,7 +103,7 @@ proptest! {
             vec![("qu".into(), Type::Atom), ("qv".into(), Type::Atom)],
             Formula::FixApp(pfp_fix, vec![Term::var("qu"), Term::var("qv")]),
         );
-        let pfp_ans = eval_query_with(&i, &q, EvalConfig::default()).unwrap();
+        let pfp_ans = eval_pooled(&q, &i, &Governor::default(), &seq).unwrap();
         prop_assert_eq!(ifp_ans, pfp_ans);
     }
 
@@ -96,9 +111,11 @@ proptest! {
     /// query (Theorem 5.1 for a fixpoint query).
     #[test]
     fn safe_eval_agrees_on_fixpoint_queries(edges in edges_strategy(5, 10)) {
+        let seq = ThreadPool::sequential();
         let (_u, _order, i) = graph_instance(5, &edges);
-        let active = eval_query_with(&i, &tc_query(), EvalConfig::default()).unwrap();
-        let safe = nestdb::core::ranges::safe_eval(&i, &tc_query(), EvalConfig::default()).unwrap();
+        let active = eval_pooled(&tc_query(), &i, &Governor::default(), &seq).unwrap();
+        let safe = nestdb::core::ranges::safe_eval_pooled(&i, &tc_query(), &Governor::default(), &seq)
+            .unwrap();
         prop_assert_eq!(active, safe);
     }
 }
@@ -118,7 +135,7 @@ fn pfp_divergence_is_an_error() {
         Formula::FixApp(fix, vec![Term::var("qx")]),
     );
     assert!(matches!(
-        eval_query_with(&i, &q, EvalConfig::default()),
+        eval_pooled(&q, &i, &Governor::default(), &ThreadPool::sequential()),
         Err(nestdb::core::error::EvalError::PfpDiverged { .. })
     ));
 }
@@ -158,7 +175,7 @@ fn nested_fixpoints_evaluate() {
     );
     let edges = [(0, 1), (1, 2), (2, 0), (3, 3)];
     let (_u, _order, i) = graph_instance(4, &edges);
-    let ans = eval_query_with(&i, &q, EvalConfig::default()).unwrap();
+    let ans = eval_pooled(&q, &i, &Governor::default(), &ThreadPool::sequential()).unwrap();
     assert_eq!(ans.len(), reference_tc(4, &edges).len());
 }
 
@@ -169,7 +186,13 @@ fn ifp_stages_are_increasing() {
     for len in 2..6usize {
         let edges: Vec<(usize, usize)> = (0..len - 1).map(|k| (k, k + 1)).collect();
         let (_u, _order, i) = graph_instance(len, &edges);
-        let ans = eval_query_with(&i, &tc_query(), EvalConfig::default()).unwrap();
+        let ans = eval_pooled(
+            &tc_query(),
+            &i,
+            &Governor::default(),
+            &ThreadPool::sequential(),
+        )
+        .unwrap();
         assert_eq!(ans.len(), len * (len - 1) / 2);
     }
 }

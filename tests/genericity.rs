@@ -6,11 +6,11 @@
 mod common;
 
 use common::*;
-use nestdb::core::error::EvalConfig;
 use nestdb::core::eval::Evaluator;
 use nestdb::object::domain::{card, rank, unrank};
 use nestdb::object::encoding::{decode_instance, decode_value, encode_instance, value_to_string};
 use nestdb::object::order::induced_cmp;
+use nestdb::object::Governor;
 use nestdb::object::{Atom, AtomOrder, Nat, Type};
 use proptest::prelude::*;
 use std::cmp::Ordering;
@@ -27,7 +27,7 @@ proptest! {
     ) {
         let (_u, order, i) = graph_instance(5, &edges);
         let q = tc_query();
-        let base = Evaluator::new(&i, order.clone(), EvalConfig::default())
+        let base = Evaluator::new(&i, order.clone(), Governor::default())
             .query(&q)
             .unwrap();
         // build the perm_seed-th permutation of the 5 atoms (Lehmer code)
@@ -39,7 +39,7 @@ proptest! {
             code /= k;
         }
         let permuted = AtomOrder::new(seq);
-        let alt = Evaluator::new(&i, permuted, EvalConfig::default())
+        let alt = Evaluator::new(&i, permuted, Governor::default())
             .query(&q)
             .unwrap();
         prop_assert_eq!(base, alt);

@@ -15,9 +15,7 @@
 mod common;
 
 use common::ScratchDir;
-use nestdb::datalog::{
-    eval_governed, eval_stratified_governed, parse_program, Idb, Program, Strategy,
-};
+use nestdb::datalog::{eval_pooled, eval_stratified_pooled, parse_program, Idb, Program, Strategy};
 use nestdb::ivm::{BaseDelta, ViewRegistry};
 use nestdb::object::{Governor, Instance, Relation, RelationSchema, Schema, Type, Universe, Value};
 use nestdb::plan::{DatalogMode, Planner};
@@ -98,7 +96,8 @@ fn recompute_all_engines(
     has_negation: bool,
 ) -> Idb {
     let gov = Governor::unlimited();
-    let strat = eval_stratified_governed(program, instance, &gov).expect("stratified oracle");
+    let strat = eval_stratified_pooled(program, instance, &gov, &ThreadPool::sequential())
+        .expect("stratified oracle");
 
     // compiled plan, stratified mode
     let planned = Planner::new(instance.schema())
@@ -120,8 +119,14 @@ fn recompute_all_engines(
 
     if !has_negation {
         for strategy in [Strategy::Naive, Strategy::SemiNaive] {
-            let (idb, _) =
-                eval_governed(program, instance, strategy, &Governor::unlimited()).unwrap();
+            let (idb, _) = eval_pooled(
+                program,
+                instance,
+                strategy,
+                &Governor::unlimited(),
+                &ThreadPool::sequential(),
+            )
+            .unwrap();
             for (name, rel) in &strat {
                 assert_eq!(
                     Some(rel),
@@ -208,8 +213,13 @@ fn run_interleaving(seed: u64, steps: usize, pool: &ThreadPool) {
         delta.apply(&mut instance);
 
         for (name, program, neg) in &programs {
-            let oracle = eval_stratified_governed(program, &instance, &Governor::unlimited())
-                .expect("stratified oracle");
+            let oracle = eval_stratified_pooled(
+                program,
+                &instance,
+                &Governor::unlimited(),
+                &ThreadPool::sequential(),
+            )
+            .expect("stratified oracle");
             assert_view_matches(&reg, name, &oracle, &format!("seed {seed} step {step}"));
             let _ = neg;
         }
@@ -281,8 +291,8 @@ proptest! {
 
         for (name, src, _) in VIEWS {
             let program = parse_program(src, &mut universe).unwrap();
-            let oracle =
-                eval_stratified_governed(&program, &instance, &Governor::unlimited()).unwrap();
+            let (gov, seq) = (Governor::unlimited(), ThreadPool::sequential());
+            let oracle = eval_stratified_pooled(&program, &instance, &gov, &seq).unwrap();
             let view = reg.get(name).unwrap();
             for (rel, rows) in view.relations() {
                 for row in rows.iter() {
@@ -360,8 +370,13 @@ fn governor_trip_mid_maintenance_leaves_views_recoverable() {
         let store = store.read().unwrap();
         let mut u2 = store.universe().clone();
         let program = parse_program(TC_SRC, &mut u2).unwrap();
-        let oracle =
-            eval_stratified_governed(&program, store.instance(), &Governor::unlimited()).unwrap();
+        let oracle = eval_stratified_pooled(
+            &program,
+            store.instance(),
+            &Governor::unlimited(),
+            &ThreadPool::sequential(),
+        )
+        .unwrap();
         let view = store.views().get("paths").unwrap();
         assert_eq!(
             view.relation("tc").unwrap().sorted_rows(),
@@ -471,8 +486,13 @@ fn check_recovered_views(dir: &std::path::Path) {
     }
     let mut u2 = store.universe().clone();
     let program = parse_program(TC_SRC, &mut u2).unwrap();
-    let oracle =
-        eval_stratified_governed(&program, store.instance(), &Governor::unlimited()).unwrap();
+    let oracle = eval_stratified_pooled(
+        &program,
+        store.instance(),
+        &Governor::unlimited(),
+        &ThreadPool::sequential(),
+    )
+    .unwrap();
     if store.views().get("paths").is_none() {
         // degraded outcome: the open said so and a fresh materialization works
         store

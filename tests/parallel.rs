@@ -1,22 +1,21 @@
 //! Parallel-evaluation guarantees.
 //!
-//! Two families of tests. First, determinism: every engine, driven through
-//! the [`Session`] API at parallelism 1 and 4, must produce *identical*
+//! Two families of tests. First, determinism: every engine's evaluation
+//! function, at parallelism 1, 2 and 4, must produce *identical*
 //! relations — the work-stealing pool changes wall-clock behaviour, never
 //! answers. Second, the shared governor under concurrency: step fuel is
 //! conserved across workers, an injected fault fires exactly once no
 //! matter how many threads are hammering the governor, and cancellation is
 //! observed by every worker.
 
-#![allow(deprecated)] // determinism suite drives the legacy eval_* shims on purpose
-
 mod common;
 
 use common::*;
 use nestdb::algebra::{Expr, Pred};
-use nestdb::datalog::{DTerm, Literal, Program, Strategy};
-use nestdb::object::{BudgetKind, Governor, Limits, Type};
-use nestdb::Session;
+use nestdb::core::ranges::safe_eval_pooled;
+use nestdb::datalog::{eval_stratified_pooled, DTerm, Literal, Program, Strategy};
+use nestdb::object::{BudgetKind, Governor, Instance, Limits, Relation, Type};
+use nestdb::{Session, ThreadPool};
 
 /// The Datalog¬ transitive-closure program over `G[U,U]`.
 fn tc_program() -> Program {
@@ -68,47 +67,49 @@ fn operator_suite() -> Vec<Expr> {
     ]
 }
 
+/// Every engine's answer on `inst` at `threads` workers, labelled.
+fn every_engine(inst: &Instance, threads: usize) -> Vec<(String, Relation)> {
+    let (gov, pool) = (Governor::unlimited(), ThreadPool::new(threads));
+    let (q, p) = (tc_query(), tc_program());
+    let mut out = vec![
+        (
+            "calc".into(),
+            nestdb::core::eval_pooled(&q, inst, &gov, &pool).unwrap(),
+        ),
+        (
+            "safe".into(),
+            safe_eval_pooled(inst, &q, &gov, &pool).unwrap(),
+        ),
+    ];
+    for strategy in [Strategy::Naive, Strategy::SemiNaive] {
+        let (idb, _) = nestdb::datalog::eval_pooled(&p, inst, strategy, &gov, &pool).unwrap();
+        out.extend(
+            idb.into_iter()
+                .map(|(r, rel)| (format!("{strategy:?} {r}"), rel)),
+        );
+    }
+    let idb = eval_stratified_pooled(&p, inst, &gov, &pool).unwrap();
+    out.extend(
+        idb.into_iter()
+            .map(|(r, rel)| (format!("stratified {r}"), rel)),
+    );
+    for e in operator_suite() {
+        let rel = nestdb::algebra::eval_pooled(&e, inst, &gov, &pool).unwrap();
+        out.push((format!("algebra {e:?}"), rel));
+    }
+    out
+}
+
 #[test]
 fn every_engine_agrees_across_parallelism_levels() {
     for edges in graphs() {
         let (_u, _order, inst) = graph_instance(5, &edges);
-        let q = tc_query();
-        let p = tc_program();
-
-        let base = Session::builder().parallelism(1).build();
-        let calc = base.eval_calc(&inst, &q).unwrap();
-        let safe = base.eval_calc_safe(&inst, &q).unwrap();
-        let (dl_naive, _) = base.eval_datalog(&p, &inst, Strategy::Naive).unwrap();
-        let (dl_semi, _) = base.eval_datalog(&p, &inst, Strategy::SemiNaive).unwrap();
-        let strat = base.eval_datalog_stratified(&p, &inst).unwrap();
-        let alg: Vec<_> = operator_suite()
-            .iter()
-            .map(|e| base.eval_algebra(e, &inst).unwrap())
-            .collect();
-
+        let base = every_engine(&inst, 1);
         for threads in [2, 4] {
-            let s = Session::builder().parallelism(threads).build();
-            assert_eq!(s.eval_calc(&inst, &q).unwrap(), calc, "calc @{threads}");
-            assert_eq!(
-                s.eval_calc_safe(&inst, &q).unwrap(),
-                safe,
-                "safe @{threads}"
-            );
-            let (n, _) = s.eval_datalog(&p, &inst, Strategy::Naive).unwrap();
-            assert_eq!(n, dl_naive, "naive @{threads}");
-            let (m, _) = s.eval_datalog(&p, &inst, Strategy::SemiNaive).unwrap();
-            assert_eq!(m, dl_semi, "semi-naive @{threads}");
-            assert_eq!(
-                s.eval_datalog_stratified(&p, &inst).unwrap(),
-                strat,
-                "stratified @{threads}"
-            );
-            for (e, expect) in operator_suite().iter().zip(&alg) {
-                assert_eq!(
-                    &s.eval_algebra(e, &inst).unwrap(),
-                    expect,
-                    "algebra {e:?} @{threads}"
-                );
+            let par = every_engine(&inst, threads);
+            assert_eq!(par.len(), base.len());
+            for ((name, expect), (_, got)) in base.iter().zip(&par) {
+                assert_eq!(got, expect, "{name} @{threads}");
             }
         }
     }
@@ -187,16 +188,15 @@ fn resource_trips_are_structured_at_every_parallelism() {
     // a different site/row, but always as a structured resource error.
     let (_u, _order, inst) = graph_instance(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
     for threads in [1, 4] {
-        let s = Session::builder()
-            .limits(Limits {
-                max_steps: 25,
-                ..Limits::unlimited()
-            })
-            .parallelism(threads)
-            .build();
-        let err = s
-            .eval_datalog(&tc_program(), &inst, Strategy::SemiNaive)
-            .unwrap_err();
+        let gov = Governor::new(Limits {
+            max_steps: 25,
+            ..Limits::unlimited()
+        });
+        let pool = ThreadPool::new(threads);
+        let err: nestdb::Error =
+            nestdb::datalog::eval_pooled(&tc_program(), &inst, Strategy::SemiNaive, &gov, &pool)
+                .unwrap_err()
+                .into();
         assert!(err.is_resource_trip(), "@{threads}: {err}");
         assert_eq!(err.resource().unwrap().budget, BudgetKind::Steps);
     }

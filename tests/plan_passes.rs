@@ -15,18 +15,16 @@
 //! pass legitimately downgrades a semi-naive request to naive evaluation,
 //! which must still compute the same fixpoint.
 
-#![allow(deprecated)] // per-pass properties exercise the legacy planned-eval shims
-
 mod common;
 
 use common::*;
 use nestdb::algebra::{Expr, Pred};
-use nestdb::core::error::EvalConfig;
-use nestdb::core::eval::eval_query_with;
-use nestdb::core::ranges::safe_eval;
+use nestdb::core::eval::eval_pooled;
+use nestdb::core::ranges::safe_eval_pooled;
 use nestdb::datalog::{DTerm, Literal, Program};
 use nestdb::object::{Governor, Instance, Relation, Type};
 use nestdb::plan::{CalcMode, DatalogMode, Pass, PassSet, Planner};
+use nestdb::ThreadPool;
 use proptest::prelude::*;
 
 fn tc_program() -> Program {
@@ -103,11 +101,12 @@ proptest! {
     /// ≡ tree-walk, on random graphs over the whole query pool.
     #[test]
     fn calc_passes_are_individually_inert(edges in edges_strategy(5, 12), qi in 0usize..9) {
+        let seq = ThreadPool::sequential();
         let (mut u, _o, i) = graph_instance(5, &edges);
         let q = nestdb::core::parse_query(calc_pool()[qi], &mut u).expect("pool queries parse");
         for (mode, walk) in [
-            (CalcMode::ActiveDomain, eval_query_with(&i, &q, EvalConfig::default()).unwrap()),
-            (CalcMode::Safe, safe_eval(&i, &q, EvalConfig::default()).unwrap()),
+            (CalcMode::ActiveDomain, eval_pooled(&q, &i, &Governor::default(), &seq).unwrap()),
+            (CalcMode::Safe, safe_eval_pooled(&i, &q, &Governor::default(), &seq).unwrap()),
         ] {
             let full = Planner::new(i.schema())
                 .with_instance(&i)
@@ -137,7 +136,8 @@ proptest! {
     fn algebra_passes_are_individually_inert(edges in edges_strategy(5, 12), ei in 0usize..7) {
         let (_u, _o, i) = graph_instance(5, &edges);
         let expr = &algebra_suite()[ei];
-        let walk = nestdb::algebra::eval(expr, &i, &nestdb::algebra::AlgebraConfig::default())
+        let seq = ThreadPool::sequential();
+        let walk = nestdb::algebra::eval_pooled(expr, &i, &Governor::default(), &seq)
             .expect("tree-walk algebra succeeds");
         let full = Planner::new(i.schema())
             .with_instance(&i)
@@ -167,13 +167,9 @@ proptest! {
         let (_u, _o, i) = graph_instance(5, &edges);
         let p = tc_program();
         let pool = minipool::ThreadPool::sequential();
-        let (walk, _) = nestdb::datalog::eval_governed(
-            &p,
-            &i,
-            nestdb::datalog::Strategy::Naive,
-            &Governor::unlimited(),
-        )
-        .unwrap();
+        let naive = nestdb::datalog::Strategy::Naive;
+        let (walk, _) =
+            nestdb::datalog::eval_pooled(&p, &i, naive, &Governor::unlimited(), &pool).unwrap();
         for passes in std::iter::once(PassSet::all()).chain(Pass::ALL.map(|p| PassSet::all().without(p))) {
             let planned = Planner::new(i.schema())
                 .with_instance(&i)

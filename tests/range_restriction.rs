@@ -7,12 +7,13 @@ mod common;
 
 use common::*;
 use nestdb::core::ast::{Formula, Term};
-use nestdb::core::error::EvalConfig;
-use nestdb::core::eval::{eval_query_with, Query};
-use nestdb::core::ranges::safe_eval;
+use nestdb::core::eval::{eval_pooled, Query};
+use nestdb::core::ranges::safe_eval_pooled;
 use nestdb::core::rr;
 use nestdb::core::typeck;
+use nestdb::object::Governor;
 use nestdb::object::{Instance, RelationSchema, Schema, Type, Universe, Value};
+use nestdb::ThreadPool;
 use proptest::prelude::*;
 
 /// A pool of range-restricted query shapes over `G[U,U]`.
@@ -87,10 +88,11 @@ proptest! {
     /// q(I)_{r_q} == q(I)_{ad} for every pool query (Theorem 5.1).
     #[test]
     fn safe_equals_active_on_rr_pool(edges in edges_strategy(5, 9)) {
+        let seq = ThreadPool::sequential();
         let (_u, _order, i) = graph_instance(5, &edges);
         for (name, q) in rr_query_pool() {
-            let active = eval_query_with(&i, &q, EvalConfig::default()).unwrap();
-            let safe = safe_eval(&i, &q, EvalConfig::default()).unwrap();
+            let active = eval_pooled(&q, &i, &Governor::default(), &seq).unwrap();
+            let safe = safe_eval_pooled(&i, &q, &Governor::default(), &seq).unwrap();
             prop_assert_eq!(active, safe, "query {}", name);
         }
     }
@@ -139,6 +141,7 @@ fn order_formulas_are_range_restricted_given_lt() {
 /// and still answers correctly (the conservative path).
 #[test]
 fn safe_eval_fallback_is_correct() {
+    let seq = ThreadPool::sequential();
     let (_u, _order, i) = graph_instance(4, &[(0, 1), (1, 2)]);
     // complement-flavoured query: no positive binder for x
     let q = Query::new(
@@ -150,8 +153,8 @@ fn safe_eval_fallback_is_correct() {
         )
         .not(),
     );
-    let active = eval_query_with(&i, &q, EvalConfig::default()).unwrap();
-    let safe = safe_eval(&i, &q, EvalConfig::default()).unwrap();
+    let active = eval_pooled(&q, &i, &Governor::default(), &seq).unwrap();
+    let safe = safe_eval_pooled(&i, &q, &Governor::default(), &seq).unwrap();
     assert_eq!(active, safe);
     // node 2 is the only *active-domain* node without successors (atom 3
     // was interned but never occurs in I, so it is outside atom(I))
@@ -224,6 +227,7 @@ fn example_5_2_tau_star() {
 /// small budget, safely refused rather than evaluated.
 #[test]
 fn unrestricted_queries_are_detected_and_budgeted() {
+    let seq = ThreadPool::sequential();
     let schema = graph_schema();
     let q = Query::new(
         vec![("X".into(), Type::set(Type::Atom))],
@@ -242,7 +246,7 @@ fn unrestricted_queries_are_detected_and_budgeted() {
     let edges: Vec<(usize, usize)> = (0..24).map(|k| (k, k)).collect();
     let (_u, _order, i) = graph_instance(24, &edges);
     assert!(matches!(
-        eval_query_with(&i, &q, EvalConfig::default()),
+        eval_pooled(&q, &i, &Governor::default(), &seq),
         Err(nestdb::core::error::EvalError::RangeTooLarge { .. })
     ));
     let mut small = Instance::empty(graph_schema());
@@ -250,6 +254,6 @@ fn unrestricted_queries_are_detected_and_budgeted() {
     let a0 = u2.intern("b0");
     small.insert("G", vec![Value::Atom(a0), Value::Atom(a0)]);
     // on a small instance it evaluates fine (2 subsets of 1 atom)
-    let ans = eval_query_with(&small, &q, EvalConfig::default()).unwrap();
+    let ans = eval_pooled(&q, &small, &Governor::default(), &seq).unwrap();
     assert_eq!(ans.len(), 2);
 }

@@ -7,13 +7,13 @@
 //! engines degrade gracefully no matter where the governor trips.
 
 use nestdb::core::ast::{Formula, Term};
-use nestdb::core::error::EvalConfig;
 use nestdb::core::eval::{active_order, Evaluator, Query};
 use nestdb::core::parser::{parse_formula, parse_query, parse_type};
-use nestdb::core::ranges::safe_eval_governed;
+use nestdb::core::ranges::safe_eval_pooled;
 use nestdb::object::{
-    BudgetKind, Governor, Instance, RelationSchema, Schema, Type, Universe, Value,
+    BudgetKind, Governor, Instance, Limits, RelationSchema, Schema, Type, Universe, Value,
 };
+use nestdb::ThreadPool;
 use proptest::prelude::*;
 
 /// Printable-ASCII soup biased towards the CALC alphabet.
@@ -126,13 +126,13 @@ proptest! {
             body,
         );
         // Safe (range-restricted) evaluation.
-        let g = Governor::new(EvalConfig::tight().limits());
+        let g = Governor::new(Limits::tight());
         g.trip_after(depth, KINDS[kind_idx]);
-        let _ = safe_eval_governed(&i, &q, &g);
+        let _ = safe_eval_pooled(&i, &q, &g, &ThreadPool::sequential());
         // Active-domain evaluation.
-        let g = Governor::new(EvalConfig::tight().limits());
+        let g = Governor::new(Limits::tight());
         g.trip_after(depth, KINDS[kind_idx]);
         let order = active_order(&i, &q);
-        let _ = Evaluator::with_governor(&i, order, g.clone()).query(&q);
+        let _ = Evaluator::new(&i, order, g.clone()).query(&q);
     }
 }

@@ -425,3 +425,45 @@ fn mid_request_disconnect_does_not_wedge_the_server() {
     assert_eq!(resp.relations[0].name, "tc");
     server.shutdown();
 }
+
+/// A client that never sends a newline is cut off at the line cap with a
+/// `protocol` error and a closed connection; other clients are served
+/// meanwhile.
+#[test]
+fn an_unterminated_line_is_refused_at_the_cap() {
+    use std::io::{BufRead, BufReader, Write};
+    let server = chain_server(4, ServerConfig::default());
+    let addr = server.local_addr();
+    let stream = std::net::TcpStream::connect(addr).unwrap();
+    // without the cap the server would wait forever for a newline
+    let patience = std::time::Duration::from_secs(30);
+    stream.set_read_timeout(Some(patience)).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    // twice the cap, no newline; the server stops reading halfway, so the
+    // tail of the write may fail once it closes the connection
+    let flood = std::thread::spawn(move || {
+        let chunk = vec![b'x'; 1 << 16];
+        for _ in 0..(2 * nestdb::server::MAX_LINE_BYTES) / chunk.len() {
+            if writer.write_all(&chunk).is_err() {
+                break;
+            }
+        }
+    });
+    // another client is served while the flood is in progress
+    let mut other = Client::connect(addr).unwrap();
+    let resp = other
+        .roundtrip(&Request::eval(Lang::Calc, "{[x:U, y:U] | G(x, y)}"))
+        .unwrap();
+    assert!(resp.ok, "{:?}", resp.error);
+
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let resp = nestdb::Response::from_json(line.trim()).unwrap();
+    assert_eq!(resp.error.as_ref().unwrap().kind, "protocol", "{line}");
+    // the server closed the connection after the refusal
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).unwrap_or(0), 0, "{line}");
+    flood.join().unwrap();
+    server.shutdown();
+}

@@ -5,7 +5,7 @@
 
 mod common;
 
-use nestdb::core::error::EvalConfig;
+use nestdb::object::Governor;
 use nestdb::object::{AtomOrder, Universe};
 use nestdb::tm::formula::CompiledSim;
 use nestdb::tm::machine::{Machine, Move};
@@ -50,7 +50,7 @@ proptest! {
         let machine = flipper();
         let order = order_n(5);
         let sim = CompiledSim::compile(&machine, &order, 1, &bits).unwrap();
-        let rel = sim.run(EvalConfig::default()).unwrap();
+        let rel = sim.run(&Governor::default()).unwrap();
         let direct = machine.run(&bits, 100).unwrap();
         prop_assert_eq!(sim.decode_output(&rel).unwrap(), direct.output);
         prop_assert!(sim.halted(&rel));
